@@ -478,9 +478,8 @@ let run_cmd =
       | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
     in
     (* Refuse statically-unsound elision/collector combinations, judged
-       against the chosen collector's declared capabilities (the same
-       record {!Jrt.Runner.run} asserts against the installed collector at
-       start-up): swap verdicts need the tracing-state protocol, move-down
+       against the capabilities of the collector the choice installs (the
+       record {!Jrt.Runner.run}'s startup guards read): swap verdicts need the tracing-state protocol, move-down
        needs a descending array scan, and both assume a single mutator.
        [--gc none] never marks, so every elision is vacuously sound under
        it.  [--allow-unsound] runs the combination anyway so the snapshot

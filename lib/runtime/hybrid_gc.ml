@@ -26,147 +26,78 @@
     re-scans every root (statics and all stacks) inside the final pause,
     which also makes static-store insertion elision sound.  Soundness is
     checked like {!Incr_gc}: at the end of the cycle everything reachable
-    must be marked. *)
+    must be marked.
 
-module Iset = Oracle.Iset
-
-type phase = Idle | Marking
-
-type cycle_report = {
-  cycle : int;
-  marked : int;
-  del_shades : int;  (** deletion-half barrier executions that shaded *)
-  ins_shades : int;  (** insertion-half executions that shaded *)
-  stack_scans : int;  (** thread stacks scanned (lazily or at finish) *)
-  allocated_during : int;
-  increments : int;
-  final_pause_work : int;  (** objects scanned inside the final pause *)
-  rescans : int;  (** repair-set objects re-scanned at remark *)
-  swept : int;
-  violations : int;  (** reachable-at-end objects left unmarked *)
-}
+    The marking is {!Mark}'s (arrays scanned whole, in slot order); this
+    module is the two barrier halves, the lazy stack scans and the
+    remark repair. *)
 
 type t = {
-  heap : Heap.t;
+  core : Mark.t;
   static_roots : unit -> int list;
   thread_roots : unit -> (int * int list) list;
       (** (tid, refs reachable from that thread's frames) *)
-  steps_per_increment : int;
-  mutable phase : phase;
-  mutable gray : int list;
   scanned : (int, unit) Hashtbl.t;  (** tids whose stack is black *)
   mutable del_shades : int;
   mutable ins_shades : int;
   mutable stack_scans : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable rescans : int;
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
 }
+
+let fk_hybrid = Flight.intern "hybrid"
 
 let create ?(steps_per_increment = 64) ?(sweep = true) (heap : Heap.t)
     ~(static_roots : unit -> int list)
     ~(thread_roots : unit -> (int * int list) list) : t =
   {
-    heap;
+    core =
+      Mark.create ~name:"hybrid" ~flight_key:fk_hybrid ~steps_per_increment
+        ~array_chunk:max_int ~direction:Ascending ~sweep heap;
     static_roots;
     thread_roots;
-    steps_per_increment;
-    phase = Idle;
-    gray = [];
     scanned = Hashtbl.create 8;
     del_shades = 0;
     ins_shades = 0;
     stack_scans = 0;
-    allocated_during = 0;
-    increments = 0;
-    boost = 1;
-    rescans = 0;
-    cycles = 0;
-    reports = [];
-    sweep_enabled = sweep;
   }
 
-let is_marking t = t.phase = Marking
+let is_marking t = t.core.marking
 
 (** Has thread [tid]'s stack been scanned (turned black) this cycle?
     Threads the collector has not seen yet are grey by construction. *)
 let stack_grey (t : t) ~tid = not (Hashtbl.mem t.scanned tid)
 
-(* telemetry: gc.* counters shared with the other collectors *)
-let c_cycles = Telemetry.counter "gc.cycles"
-let fk_hybrid = Flight.intern "hybrid"
-let c_violations = Telemetry.counter "gc.violations"
-
-(* [origin] is the float-accounting cause stamp ({!Heap.origin_trace}
-   etc.); first marker wins, drained children inherit their parent's *)
-let mark_and_gray t ~origin id =
-  let o = Heap.get t.heap id in
-  if (not o.marked) && not o.dead then begin
-    o.marked <- true;
-    o.origin <- origin;
-    t.gray <- id :: t.gray
-  end
-
-let start_cycle (t : t) : unit =
-  assert (t.phase = Idle);
-  t.phase <- Marking;
-  t.gray <- [];
+let start_cycle t =
   Hashtbl.reset t.scanned;
   t.del_shades <- 0;
   t.ins_shades <- 0;
   t.stack_scans <- 0;
-  t.allocated_during <- 0;
-  t.increments <- 0;
-  t.rescans <- 0;
   (* statics only: every thread stack starts the cycle grey *)
-  List.iter (mark_and_gray t ~origin:Heap.origin_trace) (t.static_roots ());
-  Flight.record Flight.Mark_start ~a:fk_hybrid ~b:t.cycles ~c:0;
-  Telemetry.emit "gc.cycle.start"
-    [
-      ("collector", Telemetry.Str "hybrid");
-      ("cycle", Telemetry.Int t.cycles);
-      ("phase", Telemetry.Str "marking");
-    ]
+  Mark.start t.core (t.static_roots ()) ~snapshot_size:None
+
+(* shade a barrier operand, reporting whether it was white *)
+let shade_operand t v =
+  match v with
+  | Value.Ref id ->
+      let o = Heap.get t.core.heap id in
+      let white = (not o.marked) && not o.dead in
+      if white then Mark.shade t.core ~origin:Heap.origin_log id;
+      white
+  | Value.Null | Value.Int _ -> false
 
 (** Deletion half: shade the overwritten value (Yuasa). *)
 let log_ref_store t ~obj:_ ~pre =
-  if t.phase = Marking then
-    match pre with
-    | Value.Ref id ->
-        let o = Heap.get t.heap id in
-        if (not o.marked) && not o.dead then begin
-          t.del_shades <- t.del_shades + 1;
-          mark_and_gray t ~origin:Heap.origin_log id
-        end
-    | _ -> ()
+  if t.core.marking && shade_operand t pre then
+    t.del_shades <- t.del_shades + 1
 
 (** Insertion half: shade the stored value while the storing thread's
     stack is still grey (Dijkstra). *)
 let log_ins_store t ~tid ~nv =
-  if t.phase = Marking && stack_grey t ~tid then
-    match nv with
-    | Value.Ref id ->
-        let o = Heap.get t.heap id in
-        if (not o.marked) && not o.dead then begin
-          t.ins_shades <- t.ins_shades + 1;
-          mark_and_gray t ~origin:Heap.origin_log id
-        end
-    | _ -> ()
+  if t.core.marking && stack_grey t ~tid && shade_operand t nv then
+    t.ins_shades <- t.ins_shades + 1
 
 (** Allocate black: new objects cannot be swept this cycle, which is one
     of the layers insertion-half elision at fresh-store sites rests on. *)
-let on_alloc t (o : Heap.obj) =
-  if t.phase = Marking then begin
-    o.marked <- true;
-    o.origin <- Heap.origin_alloc;
-    o.born_during_mark <- true;
-    t.allocated_during <- t.allocated_during + 1
-  end
+let on_alloc t o = Mark.on_alloc t.core o
 
 (** Remark-time repair: [objs] are destinations of stores whose barrier
     (either half) was elided under assumptions that failed, plus — when
@@ -174,55 +105,43 @@ let on_alloc t (o : Heap.obj) =
     executed this cycle.  Re-scan them: mark and re-gray so their current
     fields are traced. *)
 let on_revoke t ~objs =
-  if t.phase = Marking then
+  let c = t.core in
+  if c.marking then
     List.iter
       (fun id ->
         if id >= 0 then begin
-          let o = Heap.get t.heap id in
+          let o = Heap.get c.heap id in
           if not o.dead then begin
-            t.rescans <- t.rescans + 1;
+            c.retraced <- c.retraced + 1;
             if not o.marked then o.origin <- Heap.origin_repair;
             o.marked <- true;
-            t.gray <- id :: t.gray
+            Mark.push c id
           end
         end)
       objs
 
 (** Scan one grey thread stack, turning it black. *)
-let scan_stack (t : t) (tid : int) (refs : int list) : unit =
-  List.iter (mark_and_gray t ~origin:Heap.origin_trace) refs;
+let scan_stack t tid refs =
+  List.iter (fun id -> Mark.shade t.core ~origin:Heap.origin_trace id) refs;
   Hashtbl.replace t.scanned tid ();
   t.stack_scans <- t.stack_scans + 1
-
-let drain (t : t) (budget : int) : int =
-  let processed = ref 0 in
-  while !processed < budget && t.gray <> [] do
-    match t.gray with
-    | id :: rest ->
-        t.gray <- rest;
-        incr processed;
-        let o = Heap.get t.heap id in
-        if not o.dead then
-          List.iter (mark_and_gray t ~origin:o.origin) (Heap.out_edges o)
-    | [] -> ()
-  done;
-  !processed
 
 (** One collector increment: scan a grey stack if any remain (lazy stack
     scanning — no stop-the-world stack phase), otherwise drain gray
     objects. *)
-let step (t : t) : unit =
-  if t.phase = Marking then begin
-    t.increments <- t.increments + 1;
+let step t =
+  let c = t.core in
+  if c.marking then begin
+    c.increments <- c.increments + 1;
     match
       List.find_opt (fun (tid, _) -> stack_grey t ~tid) (t.thread_roots ())
     with
     | Some (tid, refs) -> scan_stack t tid refs
-    | None -> ignore (drain t (t.steps_per_increment * t.boost))
+    | None -> ignore (Mark.drain c (c.steps_per_increment * c.boost))
   end
 
-let quiescent (t : t) : bool =
-  t.phase = Marking && t.gray = []
+let quiescent t =
+  Mark.quiescent t.core
   && List.for_all (fun (tid, _) -> not (stack_grey t ~tid)) (t.thread_roots ())
 
 (** Final pause: scan any stacks still grey (threads spawned late), then
@@ -231,8 +150,7 @@ let quiescent (t : t) : bool =
     whole point is that this pause never grows a re-scan {e loop} the way
     incremental update's does ({!Incr_gc.finish_cycle}): one root pass
     plus a drain suffices. *)
-let finish_cycle (t : t) : cycle_report =
-  assert (t.phase = Marking);
+let finish_cycle t =
   let pause_work = ref 0 in
   List.iter
     (fun (tid, refs) ->
@@ -248,86 +166,38 @@ let finish_cycle (t : t) : cycle_report =
   List.iter
     (fun id ->
       incr pause_work;
-      mark_and_gray t ~origin:Heap.origin_trace id)
+      Mark.shade t.core ~origin:Heap.origin_trace id)
     (all_roots ());
-  pause_work := !pause_work + drain t max_int;
-  (* Invariant: everything reachable now is marked. *)
-  let now = Oracle.reachable t.heap (all_roots ()) in
-  let violations =
-    Iset.fold
-      (fun id n ->
-        let o = Heap.get t.heap id in
-        if o.dead || not o.marked then n + 1 else n)
-      now 0
-  in
-  let marked = ref 0 in
-  Heap.iter_live t.heap (fun o -> if o.marked then incr marked);
-  let swept = ref 0 in
-  if t.sweep_enabled && violations = 0 then
-    Heap.iter_live t.heap (fun o ->
-        if not o.marked then begin
-          Heap.free t.heap o;
-          incr swept
-        end);
-  let report =
-    {
-      cycle = t.cycles;
-      marked = !marked;
-      del_shades = t.del_shades;
-      ins_shades = t.ins_shades;
-      stack_scans = t.stack_scans;
-      allocated_during = t.allocated_during;
-      increments = t.increments;
-      final_pause_work = !pause_work;
-      rescans = t.rescans;
-      swept = !swept;
-      violations;
-    }
-  in
-  t.cycles <- t.cycles + 1;
-  t.heap.Heap.gc_cycle <- t.heap.Heap.gc_cycle + 1;
-  t.reports <- report :: t.reports;
-  t.phase <- Idle;
-  Heap.clear_marks t.heap;
-  Telemetry.incr c_cycles;
-  Telemetry.incr c_violations ~by:violations;
-  Flight.record Flight.Mark_end ~a:fk_hybrid ~b:report.cycle ~c:violations;
-  Telemetry.emit "gc.cycle.finish"
-    [
-      ("collector", Telemetry.Str "hybrid");
-      ("cycle", Telemetry.Int report.cycle);
-      ("phase", Telemetry.Str "idle");
-      ("marked", Telemetry.Int report.marked);
-      ("del_shades", Telemetry.Int report.del_shades);
-      ("ins_shades", Telemetry.Int report.ins_shades);
-      ("stack_scans", Telemetry.Int report.stack_scans);
-      ("final_pause_work", Telemetry.Int report.final_pause_work);
-      ("rescans", Telemetry.Int report.rescans);
-      ("swept", Telemetry.Int report.swept);
-      ("violations", Telemetry.Int report.violations);
-    ];
-  report
+  Mark.finish t.core ~pause_work:!pause_work
+    ~logged:(t.del_shades + t.ins_shades)
+    ~violations:(fun () -> Oracle.end_violations t.core.heap (all_roots ()))
+    ~fields:(fun () ->
+      ( [
+          ("del_shades", Telemetry.Int t.del_shades);
+          ("ins_shades", Telemetry.Int t.ins_shades);
+          ("stack_scans", Telemetry.Int t.stack_scans);
+        ],
+        [ ("rescans", Telemetry.Int t.core.retraced) ],
+        [] ))
 
-(** Package as mutator-facing hooks. *)
-let hooks (t : t) : Gc_hooks.t =
-  {
-    Gc_hooks.name = "hybrid";
-    caps =
+let hooks t =
+  Mark.hooks t.core
+    ~caps:
       {
         (* arrays are scanned whole in one gray-drain step: no tracing
            protocol, no direction contract *)
         Gc_hooks.retrace_protocol = false;
         descending_scan = false;
         insertion_half = true;
-      };
-    is_marking = (fun () -> is_marking t);
-    log_ref_store = (fun ~obj ~pre -> log_ref_store t ~obj ~pre);
-    log_ins_store = (fun ~tid ~nv -> log_ins_store t ~tid ~nv);
-    on_unlogged_store = (fun ~obj:_ -> ());
-    on_revoke = (fun ~objs -> on_revoke t ~objs);
-    on_alloc = (fun o -> on_alloc t o);
-    on_pressure =
-      (fun ~degraded ->
-        t.boost <- (if degraded then Gc_hooks.pressure_boost else 1));
-    step = (fun () -> step t);
+      }
+    ~log_ref_store:(log_ref_store t) ~log_ins_store:(log_ins_store t)
+    ~on_revoke:(on_revoke t) ~step:(fun () -> step t) ()
+
+let collector t =
+  {
+    Mark.hooks = hooks t;
+    start = (fun () -> start_cycle t);
+    quiescent = (fun () -> quiescent t);
+    finish = (fun () -> finish_cycle t);
+    degraded = (fun () -> false);
   }

@@ -3,44 +3,10 @@
     while the storing thread's stack is still grey.  Stacks are scanned
     lazily, one per collector increment; the final pause re-scans all
     roots once (no re-scan loop) and checks end-reachability like
-    {!Incr_gc}. *)
+    {!Incr_gc}.  The marking is {!Mark}'s; this module is the barrier
+    policy. *)
 
-type phase = Idle | Marking
-
-type cycle_report = {
-  cycle : int;
-  marked : int;
-  del_shades : int;  (** deletion-half executions that shaded *)
-  ins_shades : int;  (** insertion-half executions that shaded *)
-  stack_scans : int;  (** thread stacks scanned (lazily or at finish) *)
-  allocated_during : int;
-  increments : int;
-  final_pause_work : int;  (** objects scanned inside the final pause *)
-  rescans : int;  (** repair-set objects re-scanned at remark *)
-  swept : int;
-  violations : int;  (** reachable-at-end objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  static_roots : unit -> int list;
-  thread_roots : unit -> (int * int list) list;
-  steps_per_increment : int;
-  mutable phase : phase;
-  mutable gray : int list;
-  scanned : (int, unit) Hashtbl.t;
-  mutable del_shades : int;
-  mutable ins_shades : int;
-  mutable stack_scans : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable rescans : int;
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
-}
+type t
 
 val create :
   ?steps_per_increment:int ->
@@ -75,8 +41,9 @@ val step : t -> unit
 
 val quiescent : t -> bool
 
-val finish_cycle : t -> cycle_report
+val finish_cycle : t -> Mark.report
 (** Final pause: scan remaining grey stacks, one root re-scan, drain,
     end-reachability check, sweep when sound. *)
 
 val hooks : t -> Gc_hooks.t
+val collector : t -> Mark.collector

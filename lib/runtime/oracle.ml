@@ -21,13 +21,21 @@ let reachable (heap : Heap.t) (roots : int list) : Iset.t =
   in
   go Iset.empty roots
 
+let unmarked (heap : Heap.t) (set : Iset.t) : int =
+  Iset.fold
+    (fun id n ->
+      let o = Heap.get heap id in
+      if o.Heap.dead || not o.Heap.marked then n + 1 else n)
+    set 0
+
 (** Snapshot-invariant check shared by the SATB-family collectors: members
     of the marking-start snapshot that ended the cycle dead or unmarked.
     Nonzero means a barrier (or a tracing-state check) that was actually
     needed had been removed. *)
 let snapshot_violations (heap : Heap.t) (snapshot : Iset.t) : int =
-  Iset.fold
-    (fun id n ->
-      let o = Heap.get heap id in
-      if o.Heap.dead || not o.Heap.marked then n + 1 else n)
-    snapshot 0
+  unmarked heap snapshot
+
+(** End-of-cycle check of the collectors without a snapshot (incremental
+    update, hybrid): objects reachable from [roots] now but unmarked. *)
+let end_violations (heap : Heap.t) (roots : int list) : int =
+  unmarked heap (reachable heap roots)

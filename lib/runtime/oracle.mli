@@ -10,3 +10,8 @@ val snapshot_violations : Heap.t -> Iset.t -> int
 (** Members of a marking-start snapshot that are dead or unmarked at the
     end of the cycle — the invariant every SATB-family collector (plain
     SATB and the retrace variant) must satisfy. *)
+
+val end_violations : Heap.t -> int list -> int
+(** Objects reachable from the roots {e now} that are dead or unmarked —
+    the end-of-cycle invariant of the collectors without a snapshot
+    (incremental update and hybrid). *)

@@ -15,54 +15,7 @@
     move-down elision relies on.  Every cycle is verified against the
     {!Oracle}. *)
 
-type phase = Idle | Marking
-type gray = Whole of int | Array_tail of { id : int; upto : int }
-
-type cycle_report = {
-  cycle : int;
-  snapshot_size : int;
-  marked : int;
-  logged : int;
-  allocated_during : int;
-  increments : int;
-  retraces : int;  (** whole-object re-scans forced by unlogged stores *)
-  final_pause_work : int;  (** objects processed inside the remark pause *)
-  swept : int;
-  budget_overflows : int;  (** checks that found the budget exhausted *)
-  degraded : bool;  (** budget overflowed; swap elision disabled mid-cycle *)
-  repair_enqueues : int;  (** retrace entries forced by revocation repair *)
-  violations : int;  (** snapshot-reachable objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  roots : unit -> int list;
-  steps_per_increment : int;
-  buffer_capacity : int;
-  array_chunk : int;
-  retrace_budget : int;
-  mutable phase : phase;
-  mutable gray : gray list;
-  mutable satb_buffer : int list;
-  mutable local_buffer : int list;
-  mutable local_count : int;
-  mutable retrace : int list;
-  mutable in_retrace : Oracle.Iset.t;
-  mutable snapshot : Oracle.Iset.t;
-  mutable logged : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable retraces : int;
-  mutable enqueued : int;
-  mutable degraded : bool;
-  mutable budget_overflows : int;
-  mutable repair_enqueues : int;
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
-}
+type t
 
 val create :
   ?steps_per_increment:int ->
@@ -103,8 +56,15 @@ val quiescent : t -> bool
     entries count as work: remark may not begin before the retrace fixed
     point. *)
 
-val finish_cycle : t -> cycle_report
+val finish_cycle : t -> Mark.report
 (** The remark pause: flush buffer remnants, drain everything to the
     retrace fixed point, verify the snapshot invariant, sweep. *)
 
 val hooks : t -> Gc_hooks.t
+val collector : t -> Mark.collector
+
+val enqueued : t -> int
+(** Retrace-list enqueues this cycle, the budget's basis. *)
+
+val budget_overflows : t -> int
+(** Tracing-state checks this cycle that found the budget exhausted. *)

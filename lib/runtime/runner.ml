@@ -30,7 +30,8 @@ let resolve_pacing ?trigger_allocs ?pacing () : Pacer.config =
   match trigger_allocs, pacing with
   | Some _, Some _ ->
       invalid_arg
-        "Runner: ~trigger_allocs (deprecated fixed-count alias) and          ~pacing are mutually exclusive"
+        "Runner: ~trigger_allocs (deprecated fixed-count alias) and \
+         ~pacing are mutually exclusive"
   | Some n, None -> Pacer.config_of_trigger n
   | None, Some p -> p
   | None, None -> Pacer.default_config
@@ -47,20 +48,36 @@ let make_retrace ?(steps_per_increment = 64) ?trigger_allocs ?pacing () =
 let make_hybrid ?(steps_per_increment = 64) ?trigger_allocs ?pacing () =
   Hybrid { steps_per_increment; pacing = resolve_pacing ?trigger_allocs ?pacing () }
 
-(** The capability record each choice's collector is expected to expose.
-    Declared once here so flag-level compatibility checks (the CLI's
-    static refusals) and the run-start assertion consult the same truth
-    rather than each growing its own copy. *)
-let caps_of_choice : gc_choice -> Gc_hooks.caps = function
-  | No_gc -> Gc_hooks.none.Gc_hooks.caps
-  | Satb _ ->
-      { Gc_hooks.retrace_protocol = false; descending_scan = true; insertion_half = false }
-  | Incr _ ->
-      { Gc_hooks.retrace_protocol = false; descending_scan = false; insertion_half = false }
-  | Retrace _ ->
-      { Gc_hooks.retrace_protocol = true; descending_scan = true; insertion_half = false }
-  | Hybrid _ ->
-      { Gc_hooks.retrace_protocol = false; descending_scan = false; insertion_half = true }
+(** The collector a choice runs, over [heap] and the mutator's roots. *)
+let collector_of ?retrace_budget gc heap ~roots ~static_roots ~thread_roots =
+  match gc with
+  | No_gc -> None
+  | Satb { steps_per_increment; _ } ->
+      Some (Satb_gc.collector (Satb_gc.create ~steps_per_increment heap ~roots))
+  | Incr { steps_per_increment; _ } ->
+      Some (Incr_gc.collector (Incr_gc.create ~steps_per_increment heap ~roots))
+  | Retrace { steps_per_increment; _ } ->
+      Some
+        (Retrace_gc.collector
+           (Retrace_gc.create ~steps_per_increment ?retrace_budget heap ~roots))
+  | Hybrid { steps_per_increment; _ } ->
+      Some
+        (Hybrid_gc.collector
+           (Hybrid_gc.create ~steps_per_increment heap ~static_roots
+              ~thread_roots))
+
+(** The capability record of the collector a choice installs, read off
+    the collector itself on an empty heap — so flag-level compatibility
+    checks (the CLI's static refusals) consult the same truth the run
+    does. *)
+let caps_of_choice gc : Gc_hooks.caps =
+  let none () = [] in
+  match
+    collector_of gc (Heap.create ()) ~roots:none ~static_roots:none
+      ~thread_roots:none
+  with
+  | None -> Gc_hooks.none.Gc_hooks.caps
+  | Some c -> c.Mark.hooks.Gc_hooks.caps
 
 type gc_summary = {
   cycles : int;
@@ -102,32 +119,6 @@ type report = {
           hook).  [loop_s -. gc_s] is mutator time. *)
 }
 
-(** A live collector behind a uniform closure interface, so the scheduling
-    loop is collector-agnostic. *)
-type live = {
-  l_marking : unit -> bool;
-  l_start : unit -> unit;
-  l_quiescent : unit -> bool;
-  l_finish : unit -> int;
-      (** run the final pause, keep the report, return the pause's work *)
-  l_degraded : unit -> bool;
-      (** the cycle overflowed its retrace budget; swap elision must be
-          disabled for its remainder *)
-  l_summary : unit -> gc_summary;
-}
-
-let summary_of_cycles ~violations ~pause ~increments ~logged ~retraced
-    ~pause_steps rs =
-  {
-    cycles = List.length rs;
-    total_violations = List.fold_left (fun a r -> a + violations r) 0 rs;
-    final_pause_works = List.map pause rs;
-    pause_steps;
-    mark_increments = List.map increments rs;
-    logged_or_dirtied = List.map logged rs;
-    retraced = List.map retraced rs;
-  }
-
 (** Simple deterministic PRNG for quantum jitter. *)
 let lcg seed =
   let state = ref (if seed = 0 then 1 else seed) in
@@ -151,13 +142,16 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
   let exec =
     match engine with `Interp -> None | `Threaded -> Some (Exec.create m)
   in
+  let collector =
+    collector_of ?retrace_budget gc m.Interp.heap
+      ~roots:(fun () -> Interp.roots m)
+      ~static_roots:(fun () -> Interp.static_roots m)
+      ~thread_roots:(fun () -> Interp.thread_roots m)
+  in
   let gc_name =
-    match gc with
-    | No_gc -> "none"
-    | Satb _ -> "satb"
-    | Incr _ -> "incremental-update"
-    | Retrace _ -> "retrace"
-    | Hybrid _ -> "hybrid"
+    match collector with
+    | None -> "none"
+    | Some c -> c.Mark.hooks.Gc_hooks.name
   in
   Telemetry.emit "run.start"
     ([
@@ -244,120 +238,9 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
           Option.value p.Chaos.gc_period ~default:gc_period )
   in
   let rand = lcg seed in
-  (* collector wiring *)
-  let roots () = Interp.roots m in
-  let live =
-    match gc with
-    | No_gc -> None
-    | Satb { steps_per_increment; _ } ->
-        let t = Satb_gc.create ~steps_per_increment m.Interp.heap ~roots in
-        Interp.set_collector m (Satb_gc.hooks t);
-        let reports = ref [] in
-        Some
-          {
-            l_marking = (fun () -> Satb_gc.is_marking t);
-            l_start = (fun () -> Satb_gc.start_cycle t);
-            l_quiescent = (fun () -> Satb_gc.quiescent t);
-            l_finish =
-              (fun () ->
-                let r = Satb_gc.finish_cycle t in
-                reports := r :: !reports;
-                r.Satb_gc.final_pause_work);
-            l_degraded = (fun () -> false);
-            l_summary =
-              (fun () ->
-                summary_of_cycles (List.rev !reports)
-                  ~violations:(fun (r : Satb_gc.cycle_report) -> r.violations)
-                  ~pause:(fun r -> r.Satb_gc.final_pause_work)
-                  ~increments:(fun r -> r.Satb_gc.increments)
-                  ~logged:(fun r -> r.Satb_gc.logged)
-                  ~retraced:(fun _ -> 0)
-                  ~pause_steps:(List.rev !pause_steps));
-          }
-    | Incr { steps_per_increment; _ } ->
-        let t = Incr_gc.create ~steps_per_increment m.Interp.heap ~roots in
-        Interp.set_collector m (Incr_gc.hooks t);
-        let reports = ref [] in
-        Some
-          {
-            l_marking = (fun () -> Incr_gc.is_marking t);
-            l_start = (fun () -> Incr_gc.start_cycle t);
-            l_quiescent = (fun () -> Incr_gc.quiescent t);
-            l_finish =
-              (fun () ->
-                let r = Incr_gc.finish_cycle t in
-                reports := r :: !reports;
-                r.Incr_gc.final_pause_work);
-            l_degraded = (fun () -> false);
-            l_summary =
-              (fun () ->
-                summary_of_cycles (List.rev !reports)
-                  ~violations:(fun (r : Incr_gc.cycle_report) -> r.violations)
-                  ~pause:(fun r -> r.Incr_gc.final_pause_work)
-                  ~increments:(fun r -> r.Incr_gc.increments)
-                  ~logged:(fun r -> r.Incr_gc.dirty_cards)
-                  ~retraced:(fun _ -> 0)
-                  ~pause_steps:(List.rev !pause_steps));
-          }
-    | Retrace { steps_per_increment; _ } ->
-        let t =
-          Retrace_gc.create ~steps_per_increment ?retrace_budget
-            m.Interp.heap ~roots
-        in
-        Interp.set_collector m (Retrace_gc.hooks t);
-        let reports = ref [] in
-        Some
-          {
-            l_marking = (fun () -> Retrace_gc.is_marking t);
-            l_start = (fun () -> Retrace_gc.start_cycle t);
-            l_quiescent = (fun () -> Retrace_gc.quiescent t);
-            l_finish =
-              (fun () ->
-                let r = Retrace_gc.finish_cycle t in
-                reports := r :: !reports;
-                r.Retrace_gc.final_pause_work);
-            l_degraded = (fun () -> Retrace_gc.is_degraded t);
-            l_summary =
-              (fun () ->
-                summary_of_cycles (List.rev !reports)
-                  ~violations:(fun (r : Retrace_gc.cycle_report) ->
-                    r.violations)
-                  ~pause:(fun r -> r.Retrace_gc.final_pause_work)
-                  ~increments:(fun r -> r.Retrace_gc.increments)
-                  ~logged:(fun r -> r.Retrace_gc.logged)
-                  ~retraced:(fun r -> r.Retrace_gc.retraces)
-                  ~pause_steps:(List.rev !pause_steps));
-          }
-    | Hybrid { steps_per_increment; _ } ->
-        let t =
-          Hybrid_gc.create ~steps_per_increment m.Interp.heap
-            ~static_roots:(fun () -> Interp.static_roots m)
-            ~thread_roots:(fun () -> Interp.thread_roots m)
-        in
-        Interp.set_collector m (Hybrid_gc.hooks t);
-        let reports = ref [] in
-        Some
-          {
-            l_marking = (fun () -> Hybrid_gc.is_marking t);
-            l_start = (fun () -> Hybrid_gc.start_cycle t);
-            l_quiescent = (fun () -> Hybrid_gc.quiescent t);
-            l_finish =
-              (fun () ->
-                let r = Hybrid_gc.finish_cycle t in
-                reports := r :: !reports;
-                r.Hybrid_gc.final_pause_work);
-            l_degraded = (fun () -> false);
-            l_summary =
-              (fun () ->
-                summary_of_cycles (List.rev !reports)
-                  ~violations:(fun (r : Hybrid_gc.cycle_report) -> r.violations)
-                  ~pause:(fun r -> r.Hybrid_gc.final_pause_work)
-                  ~increments:(fun r -> r.Hybrid_gc.increments)
-                  ~logged:(fun r -> r.Hybrid_gc.del_shades + r.Hybrid_gc.ins_shades)
-                  ~retraced:(fun r -> r.Hybrid_gc.rescans)
-                  ~pause_steps:(List.rev !pause_steps));
-          }
-  in
+  Option.iter (fun c -> Interp.set_collector m c.Mark.hooks) collector;
+  (* each finished cycle's report, most recent first *)
+  let reports = ref [] in
   let pacer =
     match gc with
     | No_gc -> None
@@ -372,23 +255,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
         Interp.set_pacer m p;
         Some p
   in
-  (* Capabilities are queried exactly once, here at run start, and
-     asserted against the declared capability record for the chosen
-     collector: a mismatch means a collector was wired whose abilities
-     differ from what flag-level compatibility checks assumed, which
-     must be a loud error, never a silent fallback. *)
   let caps = m.Interp.gc.Gc_hooks.caps in
-  if caps <> caps_of_choice gc then
-    invalid_arg
-      (Printf.sprintf
-         "Runner.run: collector %s reports capabilities \
-          {retrace=%b; descending=%b; insertion=%b} but the %s choice \
-          declares {retrace=%b; descending=%b; insertion=%b}"
-         m.Interp.gc.Gc_hooks.name caps.Gc_hooks.retrace_protocol
-         caps.Gc_hooks.descending_scan caps.Gc_hooks.insertion_half gc_name
-         (caps_of_choice gc).Gc_hooks.retrace_protocol
-         (caps_of_choice gc).Gc_hooks.descending_scan
-         (caps_of_choice gc).Gc_hooks.insertion_half);
   (* Startup capability guards: the installed collector may lack
      capabilities some verdicts assumed (e.g. swap verdicts under a
      collector without the retrace protocol, move-down under an
@@ -399,33 +266,35 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
   if not caps.Gc_hooks.descending_scan then
     Interp.request_revoke m Interp.Descending_scan;
   Interp.apply_revocations m;
-  let maybe_start_cycle l =
+  let marking () = m.Interp.gc.Gc_hooks.is_marking () in
+  let maybe_start_cycle (l : Mark.collector) =
     match pacer with
-    | Some p when (not (l.l_marking ())) && Pacer.should_start p m.Interp.heap
-      ->
+    | Some p when (not (marking ())) && Pacer.should_start p m.Interp.heap ->
         Telemetry.emit "gc.cycle.begin"
           [
             ("collector", Telemetry.Str gc_name);
             ("at_step", Telemetry.Int m.Interp.instr_count);
           ];
         Pacer.note_cycle_start p m.Interp.heap;
-        l.l_start ();
+        l.start ();
         Interp.reset_cycle_state m
     | Some _ | None -> ()
   in
   (* run the final (remark) pause, stamping when it happened on the
      mutator's instruction timeline — the profiler's MMU input *)
-  let record_pause l =
+  let record_pause (l : Mark.collector) =
     let at_step = m.Interp.instr_count in
     (* insertion-capable collectors re-scan the cycle's repair set at
        remark: destinations of insertion-elided stores may hold edges to
        objects that were provably fresh at analysis time but white at
        run time (allocated before this cycle started) *)
-    if caps.Gc_hooks.insertion_half && l.l_marking () then begin
+    if caps.Gc_hooks.insertion_half && marking () then begin
       m.Interp.gc.Gc_hooks.on_revoke ~objs:m.Interp.guarded_writes;
       m.Interp.guarded_writes <- []
     end;
-    let work = l.l_finish () in
+    let r = l.finish () in
+    reports := r :: !reports;
+    let work = r.Mark.final_pause_work in
     Flight.record Flight.Pause ~a:work ~b:0 ~c:0;
     pause_steps := at_step :: !pause_steps;
     (* cycle bookkeeping: recompute the heap-growth trigger from the
@@ -527,8 +396,8 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                  Interp.apply_revocations m;
                  (* retrace-budget watchdog: a degraded cycle disables swap
                     elision for its remainder *)
-                 (match live with
-                 | Some l when l.l_degraded () -> Interp.set_swap_degraded m
+                 (match collector with
+                 | Some l when l.degraded () -> Interp.set_swap_degraded m
                  | Some _ | None -> ());
                  (* poll the pacer's state machine; while degraded it asks
                     for extra increments on top of the boosted budgets *)
@@ -546,17 +415,17 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                      m.Interp.gc.Gc_hooks.step ()
                    done
                  end;
-                 (match live with
+                 (match collector with
                  | None -> ()
                  | Some l ->
-                     if action.Chaos.force_remark && l.l_marking () then
+                     if action.Chaos.force_remark && marking () then
                        (* chaos heap pressure: emergency remark now *)
                        finish_cycle l
                      else begin
                        maybe_start_cycle l;
                        (* finish once the concurrent phase has gone
                           quiescent *)
-                       if l.l_quiescent () then finish_cycle l
+                       if l.quiescent () then finish_cycle l
                      end);
                  gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
                end
@@ -571,8 +440,8 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
      hard_stop := Some msg;
      ignore (Flight.capture ~reason:"hard-limit"));
   (* finish any in-flight cycle so its invariants still get checked *)
-  (match live with
-  | Some l when l.l_marking () ->
+  (match collector with
+  | Some l when marking () ->
       let sp_t0 = Telemetry.now_s () in
       record_pause l;
       gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
@@ -588,7 +457,23 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       ("revocation_events", Telemetry.Int m.Interp.revocation_events);
       ("revoked_sites", Telemetry.Int m.Interp.revoked_sites);
     ];
-  let gc_summary = Option.map (fun l -> l.l_summary ()) live in
+  let gc_summary =
+    Option.map
+      (fun _ ->
+        let rs = List.rev !reports in
+        let per f = List.map f rs in
+        {
+          cycles = List.length rs;
+          total_violations =
+            List.fold_left (fun n (r : Mark.report) -> n + r.violations) 0 rs;
+          final_pause_works = per (fun r -> r.final_pause_work);
+          pause_steps = List.rev !pause_steps;
+          mark_increments = per (fun r -> r.increments);
+          logged_or_dirtied = per (fun r -> r.logged);
+          retraced = per (fun r -> r.retraced);
+        })
+      collector
+  in
   (match gc_summary with
   | Some s when s.total_violations > 0 ->
       ignore (Flight.capture ~reason:"oracle-violation")

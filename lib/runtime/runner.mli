@@ -46,10 +46,9 @@ val make_hybrid :
   gc_choice
 
 val caps_of_choice : gc_choice -> Gc_hooks.caps
-(** The capability record the chosen collector is expected to expose —
-    the single truth flag-level compatibility checks and the run-start
-    assertion both consult.  {!run} raises [Invalid_argument] if the
-    installed collector's capabilities disagree. *)
+(** The capability record of the collector the choice installs, read
+    off that collector's own hooks — so flag-level compatibility checks
+    consult the same truth {!run}'s startup capability guards do. *)
 
 type gc_summary = {
   cycles : int;
@@ -109,7 +108,9 @@ val run :
 (** [engine] selects the execution substrate: [`Interp] (default), the
     step-accurate tree-walking interpreter, or [`Threaded], the
     direct-threaded compiled engine ({!Exec}) — same safepoint cadence,
-    counters, collectors and chaos faults, ≈10x the steps/sec.
+    counters, collectors and chaos faults, several times the steps/sec
+    (2.7–5.5x at E17's cadence, 2.1–2.6x at the default one; CI floors
+    it at 3x on E17).
     [chaos] injects the given fault plan at safepoints (its plan may
     also override [quantum]/[gc_period]); [retrace_budget] bounds the
     retrace collector's per-cycle re-scan queue (see {!Retrace_gc}).

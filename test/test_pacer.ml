@@ -104,6 +104,15 @@ let test_contradictory_configs_refused () =
     "negative goal refused" true
     (raises (fun () -> P.create (goal_cfg 0.5)))
 
+let test_alias_and_pacing_refused () =
+  Alcotest.check_raises "exact message"
+    (Invalid_argument
+       "Runner: ~trigger_allocs (deprecated fixed-count alias) and ~pacing \
+        are mutually exclusive")
+    (fun () ->
+      ignore
+        (Jrt.Runner.make_satb ~trigger_allocs:8 ~pacing:P.default_config ()))
+
 (* --- end-to-end properties over the real runner ------------------------ *)
 
 let compile w = Harness.Exp.compile ~null_or_same:true w
@@ -213,6 +222,8 @@ let tests =
       `Quick test_hard_limit_refuses_pre_alloc;
     Alcotest.test_case "contradictory configs are refused" `Quick
       test_contradictory_configs_refused;
+    Alcotest.test_case "trigger alias and pacing are refused together"
+      `Quick test_alias_and_pacing_refused;
     QCheck_alcotest.to_alcotest hard_limit_prop;
     Alcotest.test_case "assists reconcile with the interpreter counter"
       `Quick test_assists_reconcile;
