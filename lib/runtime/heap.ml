@@ -33,6 +33,9 @@ type obj = {
           constant); survives [clear_marks] so the float accounting can
           read it after the sweep — the next cycle overwrites it *)
   mutable dead : bool;  (** reclaimed by a sweep *)
+  mutable stamp : int;
+      (** heap [epoch] of the last {!Oracle} traversal that reached this
+          object; -1 until one does *)
 }
 
 (* Mark origins.  Kept as plain ints (not a variant) so collectors can
@@ -51,6 +54,7 @@ type t = {
   mutable live_units : int;
   mutable allocated_units : int;
   mutable gc_cycle : int;  (** completed GC cycles; object age axis *)
+  mutable epoch : int;  (** {!Oracle} traversals of this heap so far *)
 }
 
 (** Size of an object in heap units: a two-unit header plus one unit per
@@ -76,6 +80,7 @@ let dummy =
     trace = Untraced;
     origin = origin_none;
     dead = true;
+    stamp = -1;
   }
 
 let create () =
@@ -87,6 +92,7 @@ let create () =
     live_units = 0;
     allocated_units = 0;
     gc_cycle = 0;
+    epoch = 0;
   }
 
 let grow h =
@@ -111,6 +117,7 @@ let alloc ?(site = 0) (h : t) (cls : Jir.Types.class_name) (payload : payload)
       trace = Untraced;
       origin = origin_none;
       dead = false;
+      stamp = -1;
     }
   in
   h.objects.(h.next_id) <- o;

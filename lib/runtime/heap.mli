@@ -29,6 +29,10 @@ type obj = {
           and the next cycle overwrites the field when it first marks the
           object. *)
   mutable dead : bool;  (** reclaimed by a sweep *)
+  mutable stamp : int;
+      (** the heap's [epoch] when the last {!Oracle} traversal reached
+          this object; -1 until one does.  Equal to the current [epoch]
+          exactly when the latest traversal reached it. *)
 }
 
 (** Mark origins, stamped by the collectors on first marking and read by
@@ -59,6 +63,10 @@ type t = {
   mutable gc_cycle : int;
       (** completed GC cycles, bumped by each collector's finish; the
           axis object ages ([gc_cycle - birth_cycle]) are measured on *)
+  mutable epoch : int;
+      (** {!Oracle} traversals of this heap so far; each one bumps it
+          and stamps the objects it reaches, so no visited set is
+          allocated or cleared *)
 }
 
 val create : unit -> t

@@ -4,9 +4,77 @@
     reachable sets to (a) capture the logical snapshot when SATB marking
     starts and (b) verify collector invariants at the end of each cycle.
     A production collector obviously has no such oracle — it exists purely
-    to {e check} the algorithms. *)
+    to {e check} the algorithms.
+
+    One traversal serves every use.  It is breadth first over a growable
+    id buffer that is its own work queue, so when it ends the buffer
+    holds exactly the reachable ids; an object counts as visited when its
+    [stamp] equals the heap's [epoch], which each traversal bumps.  Once
+    the buffers have grown to the largest reachable set, a traversal
+    allocates nothing. *)
 
 module Iset = Set.Make (Int)
+
+type buf = { mutable ids : int array; mutable len : int }
+type snapshot = buf
+
+let buf () = { ids = Array.make 256 0; len = 0 }
+
+let push b id =
+  if b.len = Array.length b.ids then begin
+    let bigger = Array.make (2 * b.len) 0 in
+    Array.blit b.ids 0 bigger 0 b.len;
+    b.ids <- bigger
+  end;
+  b.ids.(b.len) <- id;
+  b.len <- b.len + 1
+
+let visit (heap : Heap.t) b id =
+  let o = Heap.get heap id in
+  if o.Heap.stamp <> heap.Heap.epoch then begin
+    o.Heap.stamp <- heap.Heap.epoch;
+    push b id
+  end
+
+let rec visit_roots heap b = function
+  | [] -> ()
+  | id :: rest ->
+      visit heap b id;
+      visit_roots heap b rest
+
+(* Fill [b] with the ids reachable from [roots], scanning each object's
+   slots in place.  Dead objects are traversed like live ones: a dead
+   reachable object is exactly what the checks must count. *)
+let fill (heap : Heap.t) roots b =
+  heap.Heap.epoch <- heap.Heap.epoch + 1;
+  b.len <- 0;
+  visit_roots heap b roots;
+  let i = ref 0 in
+  while !i < b.len do
+    (match (Heap.get heap b.ids.(!i)).Heap.payload with
+    | Heap.Fields vs | Heap.Ref_array vs ->
+        for s = 0 to Array.length vs - 1 do
+          match vs.(s) with
+          | Value.Ref id -> visit heap b id
+          | Value.Null | Value.Int _ -> ()
+        done
+    | Heap.Int_array _ -> ());
+    incr i
+  done
+
+(* the work queue of [iter_reachable]; a snapshot owns its own buffer, so
+   traversals between a capture and its check leave the snapshot intact *)
+let scratch = buf ()
+
+let iter_reachable (heap : Heap.t) (roots : int list) (f : Heap.obj -> unit)
+    : unit =
+  fill heap roots scratch;
+  for i = 0 to scratch.len - 1 do
+    f (Heap.get heap scratch.ids.(i))
+  done
+
+let reached (heap : Heap.t) (o : Heap.obj) : bool =
+  o.Heap.stamp = heap.Heap.epoch
 
 (** Objects reachable from the given root ids. *)
 let reachable (heap : Heap.t) (roots : int list) : Iset.t =
@@ -28,14 +96,12 @@ let unmarked (heap : Heap.t) (set : Iset.t) : int =
       if o.Heap.dead || not o.Heap.marked then n + 1 else n)
     set 0
 
-(** Snapshot-invariant check shared by the SATB-family collectors: members
-    of the marking-start snapshot that ended the cycle dead or unmarked.
-    Nonzero means a barrier (or a tracing-state check) that was actually
-    needed had been removed. *)
+let snapshot () : snapshot = buf ()
+let capture (s : snapshot) heap roots = fill heap roots s
+let snapshot_size (s : snapshot) = s.len
+
 let snapshot_violations (heap : Heap.t) (snapshot : Iset.t) : int =
   unmarked heap snapshot
 
-(** End-of-cycle check of the collectors without a snapshot (incremental
-    update, hybrid): objects reachable from [roots] now but unmarked. *)
 let end_violations (heap : Heap.t) (roots : int list) : int =
   unmarked heap (reachable heap roots)

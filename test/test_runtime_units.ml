@@ -91,6 +91,169 @@ let test_oracle_reachability () =
   Alcotest.(check int) "empty roots" 0
     (Jrt.Oracle.Iset.cardinal (Jrt.Oracle.reachable h []))
 
+(* ---- Oracle traversal against a reference BFS ------------------------- *)
+
+(* The reference: the naive list-and-set BFS the oracle once was. *)
+module IS = Set.Make (Int)
+
+let ref_edges h id =
+  match (Jrt.Heap.get h id).Jrt.Heap.payload with
+  | Jrt.Heap.Fields vs | Jrt.Heap.Ref_array vs ->
+      Array.to_list vs
+      |> List.filter_map (function Jrt.Value.Ref t -> Some t | _ -> None)
+  | Jrt.Heap.Int_array _ -> []
+
+let ref_reachable h roots =
+  let rec go seen = function
+    | [] -> seen
+    | id :: todo ->
+        if IS.mem id seen then go seen todo
+        else go (IS.add id seen) (ref_edges h id @ todo)
+  in
+  go IS.empty roots
+
+let ref_unmarked h set =
+  IS.fold
+    (fun id n ->
+      let o = Jrt.Heap.get h id in
+      if o.dead || not o.marked then n + 1 else n)
+    set 0
+
+type slot = S_null | S_int of int | S_ref of int
+
+(* kind 0: object, 1: ref array, 2: int array (its slots give the length) *)
+type obj_spec = { kind : int; slots : slot list; dead : bool; marked : bool }
+
+(* Random heaps: references anywhere (so cycles and self-edges), some
+   dead objects, int and ref arrays; two root lists, with duplicates and
+   possibly empty. *)
+let gen_heap =
+  let open QCheck2.Gen in
+  let* n = int_range 0 24 in
+  let slot =
+    if n = 0 then oneof [ return S_null; map (fun i -> S_int i) small_nat ]
+    else
+      frequency
+        [
+          (2, return S_null);
+          (1, map (fun i -> S_int i) small_nat);
+          (5, map (fun i -> S_ref i) (int_bound (n - 1)));
+        ]
+  in
+  let obj =
+    let+ kind = int_bound 2
+    and+ slots = list_size (int_bound 5) slot
+    and+ dead = frequencyl [ (1, true); (4, false) ]
+    and+ marked = bool in
+    { kind; slots; dead; marked }
+  in
+  let roots =
+    if n = 0 then return [] else list_size (int_bound 6) (int_bound (n - 1))
+  in
+  let+ objs = list_repeat n obj and+ roots = roots and+ roots2 = roots in
+  (objs, roots, roots2)
+
+let build_heap specs =
+  let h = Jrt.Heap.create () in
+  List.iter
+    (fun s ->
+      let len = List.length s.slots in
+      let o =
+        match s.kind with
+        | 0 -> Jrt.Heap.alloc_object h "C" ~n_fields:len
+        | 1 -> Jrt.Heap.alloc_ref_array h "C" ~len
+        | _ -> Jrt.Heap.alloc_int_array h ~len
+      in
+      (match o.payload with
+      | Jrt.Heap.Fields vs | Jrt.Heap.Ref_array vs ->
+          List.iteri
+            (fun i -> function
+              | S_null -> ()
+              | S_int k -> vs.(i) <- Jrt.Value.Int k
+              | S_ref t -> vs.(i) <- Jrt.Value.Ref t)
+            s.slots
+      | Jrt.Heap.Int_array es -> List.iteri (fun i _ -> es.(i) <- i) s.slots);
+      o.marked <- s.marked;
+      if s.dead then Jrt.Heap.free h o)
+    specs;
+  h
+
+let prop_oracle_matches_reference =
+  QCheck2.Test.make ~name:"oracle traversal matches reference BFS" ~count:300
+    gen_heap (fun (specs, roots, roots2) ->
+      let h = build_heap specs in
+      let expect = ref_reachable h roots in
+      let visited = ref [] in
+      Jrt.Oracle.iter_reachable h roots (fun o -> visited := o.id :: !visited);
+      let reached_ok =
+        List.for_all
+          (fun id ->
+            Jrt.Oracle.reached h (Jrt.Heap.get h id) = IS.mem id expect)
+          (List.init h.next_id Fun.id)
+      in
+      let snap = Jrt.Oracle.snapshot () in
+      Jrt.Oracle.capture snap h roots;
+      (* a traversal between capture and check leaves the snapshot intact *)
+      let end_v = Jrt.Oracle.end_violations h roots2 in
+      List.sort compare !visited = IS.elements expect
+      && reached_ok
+      && Jrt.Oracle.Iset.elements (Jrt.Oracle.reachable h roots)
+         = IS.elements expect
+      && Jrt.Oracle.snapshot_size snap = IS.cardinal expect
+      && Jrt.Oracle.snapshot_violations h (Jrt.Oracle.reachable h roots)
+         = ref_unmarked h expect
+      && end_v = ref_unmarked h (ref_reachable h roots2))
+
+(* Stamps are per heap, and an object allocated after a traversal (or
+   past the heap's and the oracle buffers' initial capacity) is unstamped
+   until a traversal reaches it. *)
+let test_oracle_epochs () =
+  let link x y =
+    match x.Jrt.Heap.payload with
+    | Jrt.Heap.Fields fs -> fs.(0) <- Jrt.Value.Ref y.Jrt.Heap.id
+    | _ -> assert false
+  in
+  let chain h n =
+    let objs = List.init n (fun _ -> Jrt.Heap.alloc_object h "C" ~n_fields:1) in
+    let rec go = function
+      | x :: (y :: _ as rest) ->
+          link x y;
+          go rest
+      | [ _ ] | [] -> ()
+    in
+    go objs;
+    objs
+  in
+  let count h roots =
+    let n = ref 0 in
+    Jrt.Oracle.iter_reachable h roots (fun _ -> incr n);
+    !n
+  in
+  let h1 = Jrt.Heap.create () and h2 = Jrt.Heap.create () in
+  let c1 = chain h1 3 and c2 = chain h2 2 in
+  let a = List.hd c1 and c = List.nth c1 2 in
+  let snap = Jrt.Oracle.snapshot () in
+  Jrt.Oracle.capture snap h1 [ a.id ];
+  Alcotest.(check int) "h1 chain" 3 (count h1 [ a.id ]);
+  Alcotest.(check int) "h2 chain" 2 (count h2 [ (List.hd c2).id ]);
+  Alcotest.(check bool) "h1 stamps survive a traversal of h2" true
+    (List.for_all (Jrt.Oracle.reached h1) c1);
+  let d = Jrt.Heap.alloc_object h1 "C" ~n_fields:1 in
+  Alcotest.(check bool) "new object unstamped" false (Jrt.Oracle.reached h1 d);
+  link c d;
+  Alcotest.(check int) "grown heap" 4 (count h1 [ a.id ]);
+  Alcotest.(check bool) "new object reached" true (Jrt.Oracle.reached h1 d);
+  Alcotest.(check int) "smaller root set" 2 (count h1 [ c.id; c.id ]);
+  Alcotest.(check bool) "older stamp no longer counts" false
+    (Jrt.Oracle.reached h1 a);
+  Alcotest.(check int) "empty roots" 0 (count h1 []);
+  Alcotest.(check bool) "nothing reached" false (Jrt.Oracle.reached h1 c);
+  let tail = chain h1 3000 in
+  link d (List.hd tail);
+  Alcotest.(check int) "past initial capacities" 3004 (count h1 [ a.id ]);
+  Alcotest.(check int) "snapshot kept its capture" 3
+    (Jrt.Oracle.snapshot_size snap)
+
 (* ---- Barrier cost model ------------------------------------------------ *)
 
 let test_satb_costs_match_paper_band () =
@@ -154,7 +317,9 @@ let tests =
       ("heap free + marks", test_heap_free_and_marks);
       ("out edges", test_out_edges);
       ("oracle reachability", test_oracle_reachability);
+      ("oracle epochs across heaps and growth", test_oracle_epochs);
       ("barrier costs in paper band", test_satb_costs_match_paper_band);
       ("builder errors", test_builder_errors);
       ("builder label resolution", test_builder_label_resolution);
     ]
+  @ [ QCheck_alcotest.to_alcotest prop_oracle_matches_reference ]
