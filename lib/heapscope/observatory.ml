@@ -34,12 +34,12 @@ let observe (t : t) (m : Jrt.Interp.t) : unit =
   let c_live, c_units = Census.totals census in
   (* exact-reachability oracle sweep: anything the collector kept that the
      oracle cannot reach is floating garbage, attributable by mark origin *)
-  let reach = Jrt.Oracle.reachable h (Jrt.Interp.roots m) in
+  Jrt.Oracle.iter_reachable h (Jrt.Interp.roots m) ignore;
   let float_objs = ref 0 and float_units = ref 0 in
   let o_objs = Array.make n_origins 0 and o_units = Array.make n_origins 0 in
   let floating : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   Jrt.Heap.iter_live h (fun o ->
-      if not (Jrt.Oracle.Iset.mem o.Jrt.Heap.id reach) then begin
+      if not (Jrt.Oracle.reached h o) then begin
         incr float_objs;
         let u = Jrt.Heap.size_units o in
         float_units := !float_units + u;

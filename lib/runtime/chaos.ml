@@ -183,48 +183,39 @@ let stats (t : t) : stats =
 
 (* ---- victim selection -------------------------------------------------- *)
 
-module Iset = Oracle.Iset
-
 (** Find [(owner, slot)] pairs whose overwrite-with-null severs the sole
     reference to a live, unmarked, pre-existing, non-root object — a
     guaranteed snapshot casualty if the store goes unlogged. *)
 let find_victims (m : Interp.t) : (int * int) list =
   let heap = m.Interp.heap in
   let roots = Interp.roots m in
-  let root_set = List.fold_left (fun s id -> Iset.add id s) Iset.empty roots in
-  let reach = Oracle.reachable heap roots in
+  Oracle.iter_reachable heap roots ignore;
   (* in-edge count and (owner, slot) of the last seen in-edge, among
-     reachable objects only *)
+     reachable objects only; owners are visited in ascending id order,
+     which fixes both the "last" edge and the table's insertion order *)
   let in_edges : (int, int * (int * int)) Hashtbl.t = Hashtbl.create 256 in
-  Iset.iter
-    (fun id ->
-      let o = Heap.get heap id in
-      if not o.Heap.dead then
-        let slots =
-          match o.Heap.payload with
-          | Heap.Fields fs -> Some fs
-          | Heap.Ref_array es -> Some es
-          | Heap.Int_array _ -> None
-        in
-        match slots with
-        | None -> ()
-        | Some slots ->
-            Array.iteri
-              (fun i v ->
-                match v with
-                | Value.Ref tgt ->
-                    let n, _ =
-                      Option.value
-                        (Hashtbl.find_opt in_edges tgt)
-                        ~default:(0, (0, 0))
-                    in
-                    Hashtbl.replace in_edges tgt (n + 1, (id, i))
-                | Value.Null | Value.Int _ -> ())
-              slots)
-    reach;
+  for id = 0 to heap.Heap.next_id - 1 do
+    let o = Heap.get heap id in
+    if Oracle.reached heap o && not o.Heap.dead then
+      match o.Heap.payload with
+      | Heap.Int_array _ -> ()
+      | Heap.Fields slots | Heap.Ref_array slots ->
+          Array.iteri
+            (fun i v ->
+              match v with
+              | Value.Ref tgt ->
+                  let n, _ =
+                    Option.value
+                      (Hashtbl.find_opt in_edges tgt)
+                      ~default:(0, (0, 0))
+                  in
+                  Hashtbl.replace in_edges tgt (n + 1, (id, i))
+              | Value.Null | Value.Int _ -> ())
+            slots
+  done;
   Hashtbl.fold
     (fun tgt (n, (owner, slot)) acc ->
-      if n = 1 && not (Iset.mem tgt root_set) then
+      if n = 1 && not (List.mem tgt roots) then
         let x = Heap.get heap tgt in
         if
           (not x.Heap.dead) && (not x.Heap.marked)

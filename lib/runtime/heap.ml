@@ -30,7 +30,7 @@ type obj = {
       (** scan progress within the current marking cycle *)
   mutable origin : int;
       (** why the most recent cycle marked this object (an [origin_*]
-          constant); survives [clear_marks] so the float accounting can
+          constant); survives clearing the marks so the float accounting can
           read it after the sweep — the next cycle overwrites it *)
   mutable dead : bool;  (** reclaimed by a sweep *)
   mutable stamp : int;

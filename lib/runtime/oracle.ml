@@ -78,30 +78,23 @@ let reached (heap : Heap.t) (o : Heap.obj) : bool =
 
 (** Objects reachable from the given root ids. *)
 let reachable (heap : Heap.t) (roots : int list) : Iset.t =
-  let rec go seen = function
-    | [] -> seen
-    | id :: todo ->
-        if Iset.mem id seen then go seen todo
-        else
-          let o = Heap.get heap id in
-          let seen = Iset.add id seen in
-          go seen (List.rev_append (Heap.out_edges o) todo)
-  in
-  go Iset.empty roots
+  let set = ref Iset.empty in
+  iter_reachable heap roots (fun o -> set := Iset.add o.Heap.id !set);
+  !set
 
-let unmarked (heap : Heap.t) (set : Iset.t) : int =
-  Iset.fold
-    (fun id n ->
-      let o = Heap.get heap id in
-      if o.Heap.dead || not o.Heap.marked then n + 1 else n)
-    set 0
-
+let unmarked (o : Heap.obj) = o.Heap.dead || not o.Heap.marked
 let snapshot () : snapshot = buf ()
 let capture (s : snapshot) heap roots = fill heap roots s
 let snapshot_size (s : snapshot) = s.len
 
-let snapshot_violations (heap : Heap.t) (snapshot : Iset.t) : int =
-  unmarked heap snapshot
+let snapshot_violations (heap : Heap.t) (s : snapshot) : int =
+  let n = ref 0 in
+  for i = 0 to s.len - 1 do
+    if unmarked (Heap.get heap s.ids.(i)) then incr n
+  done;
+  !n
 
 let end_violations (heap : Heap.t) (roots : int list) : int =
-  unmarked heap (reachable heap roots)
+  let n = ref 0 in
+  iter_reachable heap roots (fun o -> if unmarked o then incr n);
+  !n

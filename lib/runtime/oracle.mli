@@ -9,8 +9,6 @@
     buffers have grown to the largest reachable set, allocates nothing —
     no visited set is built or cleared between cycles. *)
 
-module Iset : Set.S with type elt = int
-
 val iter_reachable : Heap.t -> int list -> (Heap.obj -> unit) -> unit
 (** [iter_reachable heap roots f] calls [f] once on every object
     reachable from [roots] (roots included, dead objects included), in
@@ -36,7 +34,7 @@ val snapshot_size : snapshot -> int
 
 (** {2 Checks} *)
 
-val snapshot_violations : Heap.t -> Iset.t -> int
+val snapshot_violations : Heap.t -> snapshot -> int
 (** Members of a marking-start snapshot that are dead or unmarked at the
     end of the cycle — the invariant every SATB-family collector (plain
     SATB and the retrace variant) must satisfy. *)
@@ -45,6 +43,10 @@ val end_violations : Heap.t -> int list -> int
 (** Objects reachable from the roots {e now} that are dead or unmarked —
     the end-of-cycle invariant of the collectors without a snapshot
     (incremental update and hybrid). *)
+
+(** {2 Sets} *)
+
+module Iset : Set.S with type elt = int
 
 val reachable : Heap.t -> int list -> Iset.t
 (** The reachable ids as a set: a fold over {!iter_reachable} for callers

@@ -29,8 +29,6 @@
     the log buffers, the snapshot and the restart repair — which
     {!Retrace_gc} reuses. *)
 
-module Iset = Oracle.Iset
-
 type scan_direction = Mark.scan_direction = Descending | Ascending
 
 type t = {
@@ -42,7 +40,7 @@ type t = {
   mutable local : int list;  (** mutator-local, not yet handed over *)
   mutable local_count : int;
   mutable logged : int;
-  mutable snapshot : Iset.t;
+  snapshot : Oracle.snapshot;  (** reused across cycles *)
   mutable restarts : int;  (** revocation-triggered restarts, this cycle *)
 }
 
@@ -54,7 +52,7 @@ let on_core core ~roots ~buffer_capacity =
     local = [];
     local_count = 0;
     logged = 0;
-    snapshot = Iset.empty;
+    snapshot = Oracle.snapshot ();
     restarts = 0;
   }
 
@@ -71,13 +69,13 @@ let create ?(steps_per_increment = 64) ?(buffer_capacity = 32)
 let is_marking t = t.core.marking
 let logged t = t.logged
 let restarts t = t.restarts
-let snapshot_size t = Iset.cardinal t.snapshot
+let snapshot_size t = Oracle.snapshot_size t.snapshot
 let local_count t = t.local_count
 let handed_over t = List.length t.core.log
 
 let take_snapshot t =
   let roots = t.roots () in
-  t.snapshot <- Oracle.reachable t.core.heap roots;
+  Oracle.capture t.snapshot t.core.heap roots;
   roots
 
 (** Begin a cycle: capture the root set (initial-mark pause) and the

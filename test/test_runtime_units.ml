@@ -200,8 +200,7 @@ let prop_oracle_matches_reference =
       && Jrt.Oracle.Iset.elements (Jrt.Oracle.reachable h roots)
          = IS.elements expect
       && Jrt.Oracle.snapshot_size snap = IS.cardinal expect
-      && Jrt.Oracle.snapshot_violations h (Jrt.Oracle.reachable h roots)
-         = ref_unmarked h expect
+      && Jrt.Oracle.snapshot_violations h snap = ref_unmarked h expect
       && end_v = ref_unmarked h (ref_reachable h roots2))
 
 (* Stamps are per heap, and an object allocated after a traversal (or
