@@ -17,14 +17,12 @@
     module is the card-marking policy and the final pause's fixed
     point. *)
 
-module Iset = Oracle.Iset
-
 let card_size = 64
 
 type t = {
   core : Mark.t;
   roots : unit -> int list;
-  mutable dirty : Iset.t;  (** dirty card ids *)
+  mutable dirty : bool array;  (** indexed by card id; grown on demand *)
   mutable dirtied_total : int;
   mutable force_black : bool;
       (** degraded mode: allocate black (plus a birth-dirtied card, so
@@ -42,7 +40,7 @@ let create ?(steps_per_increment = 64) ?(sweep = true) (heap : Heap.t)
         ~steps_per_increment ~array_chunk:max_int ~direction:Ascending ~sweep
         heap;
     roots;
-    dirty = Iset.empty;
+    dirty = Array.make 64 false;
     dirtied_total = 0;
     force_black = false;
   }
@@ -50,16 +48,23 @@ let create ?(steps_per_increment = 64) ?(sweep = true) (heap : Heap.t)
 let is_marking t = t.core.marking
 let dirty_cards t = t.dirtied_total
 
+(* the dirty flags are all clear here: only marking dirties a card, and
+   the previous final pause cleared every card it rescanned *)
 let start_cycle t =
-  t.dirty <- Iset.empty;
   t.dirtied_total <- 0;
   Mark.start t.core (t.roots ()) ~snapshot_size:None
 
 let log_ref_store t ~obj ~pre:_ =
   if t.core.marking && obj >= 0 then begin
     let card = obj / card_size in
-    if not (Iset.mem card t.dirty) then begin
-      t.dirty <- Iset.add card t.dirty;
+    let n = Array.length t.dirty in
+    if card >= n then begin
+      let bigger = Array.make (max (card + 1) (2 * n)) false in
+      Array.blit t.dirty 0 bigger 0 n;
+      t.dirty <- bigger
+    end;
+    if not t.dirty.(card) then begin
+      t.dirty.(card) <- true;
       t.dirtied_total <- t.dirtied_total + 1
     end
   end
@@ -102,11 +107,12 @@ let finish_cycle t =
         incr pause_work;
         Mark.shade c ~origin:Heap.origin_trace id)
       (t.roots ());
-    (* rescan marked objects on dirty cards: their fields were updated *)
-    let dirty = t.dirty in
-    t.dirty <- Iset.empty;
-    Iset.iter
-      (fun card ->
+    (* rescan marked objects on dirty cards, in ascending card order:
+       their fields were updated (nothing dirties a card inside the
+       pause, so clearing while scanning empties the set for good) *)
+    for card = 0 to Array.length t.dirty - 1 do
+      if t.dirty.(card) then begin
+        t.dirty.(card) <- false;
         let lo = card * card_size in
         let hi = min ((card + 1) * card_size) c.heap.Heap.next_id in
         for id = lo to hi - 1 do
@@ -116,8 +122,9 @@ let finish_cycle t =
             (* kept only because its parent's card was dirtied *)
             Mark.shade_children c ~origin:Heap.origin_log o
           end
-        done)
-      dirty;
+        done
+      end
+    done;
     changed := c.top > grayed;
     pause_work := !pause_work + Mark.drain c max_int
   done;
