@@ -260,15 +260,21 @@ let finish c ~pause_work ~logged ~violations ~fields =
   assert c.marking;
   let pause_work = pause_work + drain c max_int in
   let violations = violations () in
-  let marked = ref 0 in
-  Heap.iter_live c.heap (fun o -> if o.marked then incr marked);
-  let swept = ref 0 in
-  if c.sweep && violations = 0 then
-    Heap.iter_live c.heap (fun o ->
-        if not o.marked then begin
-          Heap.free c.heap o;
-          incr swept
-        end);
+  let sweep = c.sweep && violations = 0 in
+  (* one pass: count the marked, free the unmarked, and clear the mark
+     state of the survivors (a swept object keeps its last state) *)
+  let marked = ref 0 and swept = ref 0 in
+  Heap.iter_live c.heap (fun o ->
+      if o.marked then incr marked;
+      if sweep && not o.marked then begin
+        Heap.free c.heap o;
+        incr swept
+      end
+      else begin
+        o.marked <- false;
+        o.born_during_mark <- false;
+        o.trace <- Heap.Untraced
+      end);
   let r =
     {
       cycle = c.cycles;
@@ -285,7 +291,6 @@ let finish c ~pause_work ~logged ~violations ~fields =
   c.cycles <- c.cycles + 1;
   c.heap.Heap.gc_cycle <- c.heap.Heap.gc_cycle + 1;
   c.marking <- false;
-  Heap.clear_marks c.heap;
   Telemetry.incr c_cycles;
   Telemetry.incr c_violations ~by:violations;
   Flight.record Flight.Mark_end ~a:c.flight_key ~b:r.cycle ~c:violations;

@@ -300,14 +300,15 @@ let should_start (t : t) (heap : Heap.t) : bool =
 let note_cycle_start (t : t) (heap : Heap.t) : unit =
   Flight.record Flight.Trigger ~a:heap.Heap.live_units ~b:t.trigger_units
     ~c:(if t.state = Degraded then 1 else 0);
-  Telemetry.emit "pacer.trigger"
-    [
-      ("collector", Telemetry.Str t.collector);
-      ("mode", Telemetry.Str (mode_name t.cfg.mode));
-      ("live_units", Telemetry.Int heap.Heap.live_units);
-      ("trigger_units", Telemetry.Int t.trigger_units);
-      ("degraded", Telemetry.Bool (t.state = Degraded));
-    ]
+  if Telemetry.armed () then
+    Telemetry.emit "pacer.trigger"
+      [
+        ("collector", Telemetry.Str t.collector);
+        ("mode", Telemetry.Str (mode_name t.cfg.mode));
+        ("live_units", Telemetry.Int heap.Heap.live_units);
+        ("trigger_units", Telemetry.Int t.trigger_units);
+        ("degraded", Telemetry.Bool (t.state = Degraded));
+      ]
 
 (** Auto mode's feedback: retune the goal from the pause percentiles and
     the MMU of the timeline so far.  Grow only when the evidence is that

@@ -84,7 +84,7 @@ let budget_overflows t = t.budget_overflows
 let is_degraded t = is_marking t && t.budget_overflows > 0
 
 (** Begin a cycle.  All tracing states are [Untraced] here —
-    {!Heap.clear_marks} reset them at the previous cycle's end, and
+    {!Mark.finish} reset them at the previous cycle's end, and
     allocation starts objects untraced. *)
 let start_cycle t =
   t.enqueued <- 0;

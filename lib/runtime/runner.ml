@@ -270,11 +270,12 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
   let maybe_start_cycle (l : Mark.collector) =
     match pacer with
     | Some p when (not (marking ())) && Pacer.should_start p m.Interp.heap ->
-        Telemetry.emit "gc.cycle.begin"
-          [
-            ("collector", Telemetry.Str gc_name);
-            ("at_step", Telemetry.Int m.Interp.instr_count);
-          ];
+        if Telemetry.armed () then
+          Telemetry.emit "gc.cycle.begin"
+            [
+              ("collector", Telemetry.Str gc_name);
+              ("at_step", Telemetry.Int m.Interp.instr_count);
+            ];
         Pacer.note_cycle_start p m.Interp.heap;
         l.start ();
         Interp.reset_cycle_state m
@@ -304,12 +305,13 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       (fun p ->
         Pacer.note_cycle_end p m.Interp.heap ~at_step ~pause_work:work)
       pacer;
-    Telemetry.emit "gc.pause"
-      [
-        ("collector", Telemetry.Str gc_name);
-        ("at_step", Telemetry.Int at_step);
-        ("work", Telemetry.Int work);
-      ];
+    if Telemetry.armed () then
+      Telemetry.emit "gc.pause"
+        [
+          ("collector", Telemetry.Str gc_name);
+          ("at_step", Telemetry.Int at_step);
+          ("work", Telemetry.Int work);
+        ];
     (* the observatory reads survivors' mark origins and the cycle's
        elided-store log, so it must run after the sweep and before
        [reset_cycle_state] clears the log (in [finish_cycle] below and
