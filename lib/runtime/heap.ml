@@ -30,8 +30,8 @@ type obj = {
       (** scan progress within the current marking cycle *)
   mutable origin : int;
       (** why the most recent cycle marked this object (an [origin_*]
-          constant); survives clearing the marks so the float accounting can
-          read it after the sweep — the next cycle overwrites it *)
+          constant); survives clearing the marks so the float accounting
+          can read it after the sweep — the next cycle overwrites it *)
   mutable dead : bool;  (** reclaimed by a sweep *)
   mutable stamp : int;
       (** heap [epoch] of the last {!Oracle} traversal that reached this

@@ -25,8 +25,9 @@ type obj = {
   mutable origin : int;
       (** why the most recent cycle marked this object (an [origin_*]
           constant below).  Deliberately {e not} reset when the marks are
-          cleared (by {!clear_marks} or a cycle's finish): the float accounting reads survivors' origins after the sweep,
-          and the next cycle overwrites the field when it first marks the
+          cleared (by {!clear_marks} or a cycle's finish): the float
+          accounting reads survivors' origins after the sweep, and the
+          next cycle overwrites the field when it first marks the
           object. *)
   mutable dead : bool;  (** reclaimed by a sweep *)
   mutable stamp : int;

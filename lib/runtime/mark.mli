@@ -106,9 +106,9 @@ val finish :
   violations:(unit -> int) ->
   fields:(unit -> fields * fields * fields) ->
   report
-(** Drain to empty, count [violations] after the drain, count the marked
-    set, sweep unless a violation was found, clear the marks and emit
-    the cycle-end events.  [pause_work] is the policy's own pause work
+(** Drain to empty, count [violations] after the drain, then in one heap
+    pass count the marked set, sweep unless a violation was found and
+    clear the survivors' marks; emit the cycle-end events.  [pause_work] is the policy's own pause work
     before the drain; [fields] gives its entries of the finish event,
     placed after [marked], [final_pause_work] and [swept] respectively,
     and is only called while telemetry is armed. *)

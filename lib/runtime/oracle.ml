@@ -15,47 +15,49 @@
 
 module Iset = Set.Make (Int)
 
-type buf = { mutable ids : int array; mutable len : int }
-type snapshot = buf
+(* a growable id buffer: the traversal's work queue and, when it ends,
+   exactly the reachable ids *)
+type snapshot = { mutable ids : int array; mutable len : int }
 
-let buf () = { ids = Array.make 256 0; len = 0 }
+let snapshot () = { ids = Array.make 256 0; len = 0 }
+let snapshot_size s = s.len
 
-let push b id =
-  if b.len = Array.length b.ids then begin
-    let bigger = Array.make (2 * b.len) 0 in
-    Array.blit b.ids 0 bigger 0 b.len;
-    b.ids <- bigger
+let push s id =
+  if s.len = Array.length s.ids then begin
+    let bigger = Array.make (2 * s.len) 0 in
+    Array.blit s.ids 0 bigger 0 s.len;
+    s.ids <- bigger
   end;
-  b.ids.(b.len) <- id;
-  b.len <- b.len + 1
+  s.ids.(s.len) <- id;
+  s.len <- s.len + 1
 
-let visit (heap : Heap.t) b id =
+let visit (heap : Heap.t) s id =
   let o = Heap.get heap id in
   if o.Heap.stamp <> heap.Heap.epoch then begin
     o.Heap.stamp <- heap.Heap.epoch;
-    push b id
+    push s id
   end
 
-let rec visit_roots heap b = function
+let rec visit_roots heap s = function
   | [] -> ()
   | id :: rest ->
-      visit heap b id;
-      visit_roots heap b rest
+      visit heap s id;
+      visit_roots heap s rest
 
-(* Fill [b] with the ids reachable from [roots], scanning each object's
-   slots in place.  Dead objects are traversed like live ones: a dead
-   reachable object is exactly what the checks must count. *)
-let fill (heap : Heap.t) roots b =
+(* Breadth first, scanning each object's slots in place.  Dead objects
+   are traversed like live ones: a dead reachable object is exactly what
+   the checks must count. *)
+let capture s (heap : Heap.t) roots =
   heap.Heap.epoch <- heap.Heap.epoch + 1;
-  b.len <- 0;
-  visit_roots heap b roots;
+  s.len <- 0;
+  visit_roots heap s roots;
   let i = ref 0 in
-  while !i < b.len do
-    (match (Heap.get heap b.ids.(!i)).Heap.payload with
+  while !i < s.len do
+    (match (Heap.get heap s.ids.(!i)).Heap.payload with
     | Heap.Fields vs | Heap.Ref_array vs ->
-        for s = 0 to Array.length vs - 1 do
-          match vs.(s) with
-          | Value.Ref id -> visit heap b id
+        for k = 0 to Array.length vs - 1 do
+          match vs.(k) with
+          | Value.Ref id -> visit heap s id
           | Value.Null | Value.Int _ -> ()
         done
     | Heap.Int_array _ -> ());
@@ -64,11 +66,11 @@ let fill (heap : Heap.t) roots b =
 
 (* the work queue of [iter_reachable]; a snapshot owns its own buffer, so
    traversals between a capture and its check leave the snapshot intact *)
-let scratch = buf ()
+let scratch = snapshot ()
 
 let iter_reachable (heap : Heap.t) (roots : int list) (f : Heap.obj -> unit)
     : unit =
-  fill heap roots scratch;
+  capture scratch heap roots;
   for i = 0 to scratch.len - 1 do
     f (Heap.get heap scratch.ids.(i))
   done
@@ -83,9 +85,6 @@ let reachable (heap : Heap.t) (roots : int list) : Iset.t =
   !set
 
 let unmarked (o : Heap.obj) = o.Heap.dead || not o.Heap.marked
-let snapshot () : snapshot = buf ()
-let capture (s : snapshot) heap roots = fill heap roots s
-let snapshot_size (s : snapshot) = s.len
 
 let snapshot_violations (heap : Heap.t) (s : snapshot) : int =
   let n = ref 0 in
@@ -95,6 +94,5 @@ let snapshot_violations (heap : Heap.t) (s : snapshot) : int =
   !n
 
 let end_violations (heap : Heap.t) (roots : int list) : int =
-  let n = ref 0 in
-  iter_reachable heap roots (fun o -> if unmarked o then incr n);
-  !n
+  capture scratch heap roots;
+  snapshot_violations heap scratch
