@@ -39,10 +39,15 @@ let equal a b =
 (** The whole index range of a just-allocated array of length [n]. *)
 let of_new_array n = Full (Intval.const 0, Intval.add_const (-1) n)
 
+(** Do two bounds provably denote the same integer?  ⊤ stands for an
+    unknown value, so it is equal to nothing — not even another ⊤: two
+    unknown indices need not be the same index. *)
+let same_bound a b = (not (Intval.is_top a)) && Intval.equal a b
+
 (** [contract r ind] — the null range after a store at index [ind]
     (paper §3.3).  Only stores at either end keep information. *)
 let contract (r : t) (ind : Intval.t) : t =
-  let eq = Intval.equal in
+  let eq = same_bound in
   let lt a b = Intval.provably_gt b a in
   match r with
   | Empty -> Empty
@@ -72,8 +77,8 @@ let mem (r : t) (ind : Intval.t) ~(len : Intval.t) : bool =
   | From lo -> ge ind lo
   | Up_to hi -> ge hi ind
   | Full (lo, hi) ->
-      (ge ind lo || Intval.equal lo (Intval.const 0))
-      && (ge hi ind || Intval.equal hi (Intval.add_const (-1) len))
+      (ge ind lo || same_bound lo (Intval.const 0))
+      && (ge hi ind || same_bound hi (Intval.add_const (-1) len))
 
 (** Promote a [Full] range to a half-open shape when a bound coincides with
     the end of the array ([Full (0, hi) ≡ Up_to hi];
@@ -82,9 +87,9 @@ let mem (r : t) (ind : Intval.t) ~(len : Intval.t) : bool =
 let promote_like ~(len : Intval.t) (shape : t) (r : t) : t =
   match shape, r with
   | From _, Full (lo, hi) ->
-      if Intval.equal hi (Intval.add_const (-1) len) then From lo else Empty
+      if same_bound hi (Intval.add_const (-1) len) then From lo else Empty
   | Up_to _, Full (lo, hi) ->
-      if Intval.equal lo (Intval.const 0) then Up_to hi else Empty
+      if same_bound lo (Intval.const 0) then Up_to hi else Empty
   | _, _ -> r
 
 (** Merge two null ranges at a control-flow join.  Bounds are merged as

@@ -14,6 +14,10 @@ val equal : t -> t -> bool
 val of_new_array : Intval.t -> t
 (** The whole index range of a just-allocated array of the given length. *)
 
+(** In [contract], [mem] and [promote_like], a ⊤ index, bound or length
+    is equal to nothing, not even to another ⊤: two unknown integers need
+    not be the same integer. *)
+
 val contract : t -> Intval.t -> t
 (** The range after a store at the given index (paper §3.3): only stores
     at either end keep information — the conservatism behind the §3.6
@@ -26,7 +30,7 @@ val mem : t -> Intval.t -> len:Intval.t -> bool
 
 val promote_like : len:Intval.t -> t -> t -> t
 (** Promote a [Full] range to the other operand's half-open shape when a
-    bound coincides with the end of the array. *)
+    bound provably coincides with the end of the array. *)
 
 val merge : Intval.Ctx.ctx -> len1:Intval.t -> len2:Intval.t -> t -> t -> t
 (** Control-flow-join merge; bounds are integer state components (§3.5)

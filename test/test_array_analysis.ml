@@ -361,6 +361,48 @@ end
 |})
     ~meth:"m" [ true ]
 
+(* An array whose length is read from a static has the null range
+   [0..⊤].  Two stores at the same unknown index: the second overwrites
+   the first, so it must keep its barrier.  (The first keeps its barrier
+   too: with an unknown length the range has no provable upper end.)
+   Shared with the dynamic pre-null exactness test in Test_soundness. *)
+let top_length_probe =
+  hdr
+  ^ {|
+class Main
+  static int n
+  static int k
+  static ref sink
+  method void main () locals 1
+    iconst 4
+    putstatic Main.n
+    iconst 1
+    putstatic Main.k
+    new T
+    dup
+    invoke T.<init>
+    putstatic Main.sink
+    getstatic Main.n
+    anewarray T
+    astore 0
+    aload 0
+    getstatic Main.k
+    getstatic Main.sink
+    aastore
+    aload 0
+    getstatic Main.k
+    getstatic Main.sink
+    aastore
+    return
+  end
+end
+|}
+
+let test_top_length_same_index_kept () =
+  check "unknown length, same unknown index twice" top_length_probe
+    ~meth:"main" [ false; false; false ]
+(* putstatic (never elided), then both aastores kept *)
+
 let test_int_array_stores_have_no_barrier () =
   let compiled =
     compile
@@ -401,4 +443,5 @@ let tests =
       ("length via argument unknown", test_length_via_argument_unknown);
       ("aaload neutral", test_aaload_does_not_contract);
       ("int arrays barrier-free", test_int_array_stores_have_no_barrier);
+      ("⊤ length, same ⊤ index kept", test_top_length_same_index_kept);
     ]

@@ -197,8 +197,30 @@ let prop_merge_claims_justified_on_both_sides =
           else true)
         (List.init n Fun.id))
 
+(* ⊤ is an unknown integer, so a ⊤ bound proves nothing about another ⊤:
+   an array of unknown length is [Full (0, ⊤)], and two stores at the
+   same unknown index must not both land in its null range *)
+let test_top_bounds_prove_nothing () =
+  let top = I.top in
+  let fresh = R.Full (c 0, top) in
+  Alcotest.check rng "store at ⊤ into [0..⊤] loses the range" R.Empty
+    (R.contract fresh top);
+  Alcotest.check rng "store at ⊤ into [⊤..] loses the range" R.Empty
+    (R.contract (R.From top) top);
+  Alcotest.check rng "store at ⊤ into [..⊤] loses the range" R.Empty
+    (R.contract (R.Up_to top) top);
+  Alcotest.(check bool) "⊤ upper bound is not len-1 of a ⊤ length" false
+    (R.mem fresh top ~len:top);
+  Alcotest.(check bool) "literal index, ⊤ length: still unproven" false
+    (R.mem fresh (c 2) ~len:top);
+  Alcotest.check rng "⊤ upper bound does not promote to From" R.Empty
+    (R.promote_like ~len:top (R.From (c 1)) (R.Full (c 1, top)));
+  Alcotest.check rng "⊤ lower bound does not promote to Up_to" R.Empty
+    (R.promote_like ~len:(c 8) (R.Up_to (c 3)) (R.Full (top, c 3)))
+
 let unit_tests =
   [
+    ("⊤ bounds prove nothing", test_top_bounds_prove_nothing);
     ("of_new_array", test_new_array);
     ("contract full low end", test_contract_full_low_end);
     ("contract full high end", test_contract_full_high_end);

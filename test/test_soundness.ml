@@ -68,8 +68,71 @@ let prop_workload_sound c (w : Workloads.Spec.t) ~null_or_same =
       run_one w c ~null_or_same ~seed ~quantum ~gc_period ~steps ~trigger
       = 0)
 
+(* Pre-null verdicts are exact claims: every execution of a site elided
+   as [Pre_null_field] or [Pre_null_array] must overwrite null.  Checked
+   on the interpreter under SATB for every bundled workload, plain and
+   with null-or-same plus summaries, and on the ⊤-length probe of
+   Test_array_analysis (whose second store overwrites the first). *)
+let pre_null_sites (w : Workloads.Spec.t) ~null_or_same =
+  let cw =
+    Harness.Exp.compile ~null_or_same ~summaries:null_or_same w
+  in
+  let r =
+    Harness.Exp.run ~gc:(Jrt.Runner.make_satb ()) ~engine:`Interp cw
+  in
+  Hashtbl.fold
+    (fun (site : Jrt.Interp.site) (st : Jrt.Interp.site_stats) acc ->
+      match
+        Satb_core.Driver.verdict cw.compiled
+          { sk_class = site.s_class; sk_method = site.s_method;
+            sk_pc = site.s_pc }
+      with
+      | Some { v_reason = Pre_null_field | Pre_null_array; _ } ->
+          (Jrt.Interp.site_id site, st.pre_null_execs, st.execs) :: acc
+      | Some _ | None -> acc)
+    r.machine.Jrt.Interp.stats []
+
+let check_pre_null_exact (w : Workloads.Spec.t) ~null_or_same =
+  let sites = pre_null_sites w ~null_or_same in
+  List.iter
+    (fun (id, pre_null, execs) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s%s %s: pre-null execs" w.name
+           (if null_or_same then " +nos+summaries" else "")
+           id)
+        execs pre_null)
+    sites;
+  List.length sites
+
+let test_pre_null_exact_workloads () =
+  let n =
+    List.fold_left
+      (fun n w ->
+        n
+        + check_pre_null_exact w ~null_or_same:false
+        + check_pre_null_exact w ~null_or_same:true)
+      0 Workloads.Registry.all
+  in
+  Alcotest.(check bool) "some pre-null sites executed" true (n > 0)
+
+let test_pre_null_exact_top_length_probe () =
+  let probe =
+    {
+      Workloads.Spec.name = "top-length-probe";
+      description = "two stores at one unknown index of a ⊤-length array";
+      paper_row = None;
+      src = Test_array_analysis.top_length_probe;
+      entry = Workloads.Spec.main_entry;
+    }
+  in
+  ignore (check_pre_null_exact probe ~null_or_same:false)
+
 let tests =
-  List.map QCheck_alcotest.to_alcotest
+  Alcotest.test_case "pre-null verdicts exact on every workload" `Quick
+    test_pre_null_exact_workloads
+  :: Alcotest.test_case "pre-null verdicts exact on the ⊤-length probe"
+       `Quick test_pre_null_exact_top_length_probe
+  :: List.map QCheck_alcotest.to_alcotest
     (List.concat_map
        (fun c ->
          List.concat_map
