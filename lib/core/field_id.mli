@@ -7,6 +7,9 @@ type t =
   | Elems
 
 val compare : t -> t -> int
+(** The order of [Stdlib.compare]: [Elems] first, then named fields by
+    class and field name. *)
+
 val equal : t -> t -> bool
 val of_field_ref : Jir.Types.field_ref -> t
 val pp : t Fmt.t

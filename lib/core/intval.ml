@@ -184,24 +184,42 @@ let subst_var i ~v ~by =
     - [mu1], [mu2]: substitutions recording what each generated or matched
       variable stands for in each input state ([μ₁], [μ₂]);
     - [widen]: when set, no new variable unknowns are invented and unequal
-      values merge straight to ⊤ (termination safety net). *)
+      values merge straight to ⊤ (termination safety net).
+    Most joins discover no stride at all, so the three tables are created
+    on the first write; until then every lookup misses. *)
 module Ctx = struct
-  type ctx = {
-    gen : Gen.t;
+  type tables = {
     u : (int, int) Hashtbl.t;
     mu1 : (int, t) Hashtbl.t;
     mu2 : (int, t) Hashtbl.t;
-    widen : bool;
   }
 
-  let create ?(widen = false) gen =
-    {
-      gen;
-      u = Hashtbl.create 4;
-      mu1 = Hashtbl.create 4;
-      mu2 = Hashtbl.create 4;
-      widen;
-    }
+  type ctx = { gen : Gen.t; widen : bool; mutable tables : tables option }
+
+  let create ?(widen = false) gen = { gen; widen; tables = None }
+
+  let tables ctx =
+    match ctx.tables with
+    | Some t -> t
+    | None ->
+        let t =
+          { u = Hashtbl.create 4; mu1 = Hashtbl.create 4; mu2 = Hashtbl.create 4 }
+        in
+        ctx.tables <- Some t;
+        t
+
+  let find_u ctx d =
+    match ctx.tables with None -> None | Some t -> Hashtbl.find_opt t.u d
+
+  (* [swapped] exchanges the roles of μ₁ and μ₂ (Figure 1, lines 8-9) *)
+  let find_mu ctx ~swapped ~first v =
+    match ctx.tables with
+    | None -> None
+    | Some t -> Hashtbl.find_opt (if first <> swapped then t.mu1 else t.mu2) v
+
+  let set_mu ctx ~swapped ~first v x =
+    let t = tables ctx in
+    Hashtbl.replace (if first <> swapped then t.mu1 else t.mu2) v x
 end
 
 (** [match_ i1 i2] (paper's [match]): [i1] has variable term [a₁·v₁];
@@ -246,52 +264,55 @@ let match_ (i1 : lin) (i2 : lin) : t option =
 (** Direct transcription of the paper's Figure 1 ([merge_intvals]).  Merges
     one integer state component appearing as [i1] in the first input state
     and [i2] in the second. *)
-let rec merge (ctx : Ctx.ctx) (i1 : t) (i2 : t) : t =
-  match i1, i2 with
-  | Top, _ | _, Top -> Top
-  | Lin l1, Lin l2 ->
-      if equal_lin l1 l2 then i1
-      else if ctx.widen then Top
-      else if var_term i1 = None && var_term i2 <> None then
-        (* line 8-9: ensure i1 carries the variable term if either does,
-           swapping the substitution maps accordingly *)
-        merge { ctx with mu1 = ctx.mu2; mu2 = ctx.mu1 } i2 i1
-      else begin
-        let delta = sub i2 i1 in
-        match to_literal delta, var_term i1 with
-        | Some d, None -> (
-            (* lines 11-19: two distinct constants; invent or reuse the
-               variable unknown that varies with stride d *)
-            match Hashtbl.find_opt ctx.u d with
-            | None ->
-                let v = Gen.fresh_var ctx.gen in
-                Hashtbl.replace ctx.u d v;
-                Hashtbl.replace ctx.mu1 v i1;
-                Hashtbl.replace ctx.mu2 v i2;
-                of_var_unknown v
-            | Some v -> (
-                match Hashtbl.find_opt ctx.mu1 v with
-                | Some m1 ->
-                    (* d = i1 - μ1(v) must be variable-free (asserted in
-                       the paper); return v + d *)
-                    let d = sub i1 m1 in
-                    if var_term d = None && not (is_top d) then
-                      add (of_var_unknown v) d
-                    else Top
-                | None -> Top))
-        | _, Some (a1, v1) when a1 <> 0 -> (
-            (* lines 21-31 *)
-            match Hashtbl.find_opt ctx.mu2 v1 with
-            | Some s ->
-                if equal (subst_var i1 ~v:v1 ~by:s) i2 then i1 else Top
-            | None -> (
-                match match_ l1 l2 with
-                | Some s ->
-                    Hashtbl.replace ctx.mu2 v1 s;
-                    i1
-                | None -> Top))
-        | _, _ -> Top
-      end
+let merge (ctx : Ctx.ctx) (i1 : t) (i2 : t) : t =
+  let rec go ~swapped i1 i2 =
+    match i1, i2 with
+    | Top, _ | _, Top -> Top
+    | Lin l1, Lin l2 ->
+        if equal_lin l1 l2 then i1
+        else if ctx.widen then Top
+        else if var_term i1 = None && var_term i2 <> None then
+          (* line 8-9: ensure i1 carries the variable term if either does,
+             swapping the substitution maps accordingly *)
+          go ~swapped:(not swapped) i2 i1
+        else begin
+          let delta = sub i2 i1 in
+          match to_literal delta, var_term i1 with
+          | Some d, None -> (
+              (* lines 11-19: two distinct constants; invent or reuse the
+                 variable unknown that varies with stride d *)
+              match Ctx.find_u ctx d with
+              | None ->
+                  let v = Gen.fresh_var ctx.gen in
+                  Hashtbl.replace (Ctx.tables ctx).u d v;
+                  Ctx.set_mu ctx ~swapped ~first:true v i1;
+                  Ctx.set_mu ctx ~swapped ~first:false v i2;
+                  of_var_unknown v
+              | Some v -> (
+                  match Ctx.find_mu ctx ~swapped ~first:true v with
+                  | Some m1 ->
+                      (* d = i1 - μ1(v) must be variable-free (asserted in
+                         the paper); return v + d *)
+                      let d = sub i1 m1 in
+                      if var_term d = None && not (is_top d) then
+                        add (of_var_unknown v) d
+                      else Top
+                  | None -> Top))
+          | _, Some (a1, v1) when a1 <> 0 -> (
+              (* lines 21-31 *)
+              match Ctx.find_mu ctx ~swapped ~first:false v1 with
+              | Some s ->
+                  if equal (subst_var i1 ~v:v1 ~by:s) i2 then i1 else Top
+              | None -> (
+                  match match_ l1 l2 with
+                  | Some s ->
+                      Ctx.set_mu ctx ~swapped ~first:false v1 s;
+                      i1
+                  | None -> Top))
+          | _, _ -> Top
+        end
+  in
+  go ~swapped:false i1 i2
 
 (** Merge without stride discovery: equal values survive, anything else is
     ⊤.  Used where the paper's analysis does not thread a merge context

@@ -16,8 +16,28 @@ type t =
   | Arg of int
   | Alloc of { site : int; recent : bool }
 
-let compare (a : t) (b : t) = Stdlib.compare a b
-let equal a b = compare a b = 0
+(* The order of [Stdlib.compare] — Global < Arg < Alloc, then by argument
+   index, by site, A after B — without its polymorphic traversal: map and
+   set iteration, and so every printed state, stay as they were. *)
+let compare (a : t) (b : t) =
+  match a, b with
+  | Global, Global -> 0
+  | Global, (Arg _ | Alloc _) -> -1
+  | (Arg _ | Alloc _), Global -> 1
+  | Arg i, Arg j -> Int.compare i j
+  | Arg _, Alloc _ -> -1
+  | Alloc _, Arg _ -> 1
+  | Alloc x, Alloc y -> (
+      match Int.compare x.site y.site with
+      | 0 -> Bool.compare x.recent y.recent
+      | c -> c)
+
+let equal (a : t) (b : t) =
+  match a, b with
+  | Global, Global -> true
+  | Arg i, Arg j -> i = j
+  | Alloc x, Alloc y -> x.site = y.site && Bool.equal x.recent y.recent
+  | (Global | Arg _ | Alloc _), _ -> false
 
 let pp ppf = function
   | Global -> Fmt.string ppf "G"

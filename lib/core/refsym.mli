@@ -15,6 +15,10 @@ type t =
       (** [recent = true] is [R_site/A]; [false] is [R_site/B] *)
 
 val compare : t -> t -> int
+(** The order of [Stdlib.compare] (Global < Arg < Alloc; arguments by
+    index; allocation symbols by site, B before A), without its
+    polymorphic walk.  Set and map iteration follow it. *)
+
 val equal : t -> t -> bool
 val pp : t Fmt.t
 

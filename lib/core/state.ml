@@ -149,22 +149,116 @@ let equal_refinfo a b =
   && equal_opt equal_eprov a.eprov b.eprov
 
 let equal_aval a b =
+  a == b
+  ||
   match a, b with
   | Bot, Bot | Clash, Clash -> true
   | Int x, Int y -> Intval.equal x y
   | Ref x, Ref y -> equal_refinfo x y
   | (Bot | Clash | Int _ | Ref _), _ -> false
 
+(* components shared by both states need no walk *)
+let same eq a b = a == b || eq a b
+
 let equal (a : t) (b : t) =
-  Array.length a.rho = Array.length b.rho
-  && Array.for_all2 equal_aval a.rho b.rho
-  && List.length a.stk = List.length b.stk
-  && List.for_all2 equal_aval a.stk b.stk
-  && Rset.equal a.nl b.nl
-  && Sigma.equal equal_aval a.sigma b.sigma
-  && Rmap.equal Intval.equal a.len b.len
-  && Rmap.equal Intrange.equal a.nr b.nr
-  && equal_opt equal_shift a.shift b.shift
+  a == b
+  || same
+       (fun r1 r2 ->
+         Array.length r1 = Array.length r2 && Array.for_all2 equal_aval r1 r2)
+       a.rho b.rho
+     && same
+          (fun l1 l2 ->
+            List.length l1 = List.length l2 && List.for_all2 equal_aval l1 l2)
+          a.stk b.stk
+     && same Rset.equal a.nl b.nl
+     && same (Sigma.equal equal_aval) a.sigma b.sigma
+     && same (Rmap.equal Intval.equal) a.len b.len
+     && same (Rmap.equal Intrange.equal) a.nr b.nr
+     && equal_opt equal_shift a.shift b.shift
+
+(* ---- sharing maps ----------------------------------------------------- *)
+
+(* Maps that hand back their input physically when [f] changes nothing
+   (returns its argument), so a rewrite or join that adds no information
+   allocates nothing.  Elements are visited left to right, as by
+   [Array.map2] and [List.map2]. *)
+
+let map2_array f a1 a2 =
+  let n = Array.length a1 in
+  let rec scan i =
+    if i = n then a1
+    else
+      let y = f a1.(i) a2.(i) in
+      if y == a1.(i) then scan (i + 1)
+      else begin
+        let b = Array.copy a1 in
+        b.(i) <- y;
+        for j = i + 1 to n - 1 do
+          b.(j) <- f a1.(j) a2.(j)
+        done;
+        b
+      end
+  in
+  scan 0
+
+let rec map2_list f l1 l2 =
+  match l1, l2 with
+  | [], [] -> l1
+  | x :: t1, y :: t2 ->
+      let z = f x y in
+      let t = map2_list f t1 t2 in
+      if z == x && t == t1 then l1 else z :: t
+  | [], _ :: _ | _ :: _, [] -> invalid_arg "State.map2_list"
+
+let map_array f a = map2_array (fun x _ -> f x) a a
+let map_list f l = map2_list (fun x _ -> f x) l l
+
+let map_sigma f m =
+  Sigma.fold
+    (fun k v acc ->
+      let v' = f v in
+      if v' == v then acc else Sigma.add k v' acc)
+    m m
+
+(** [map_values f s] applies [f] to every abstract value of the state: ρ,
+    stk and the range of σ.  [f] returns its argument when it changes
+    nothing; the components it leaves alone come back physically
+    unchanged, and so does [s] when it changes nothing at all. *)
+let map_values (f : aval -> aval) (s : t) : t =
+  let rho = map_array f s.rho in
+  let stk = map_list f s.stk in
+  let sigma = map_sigma f s.sigma in
+  if rho == s.rho && stk == s.stk && sigma == s.sigma then s
+  else { s with rho; stk; sigma }
+
+(** Join of two maps that returns [m1] itself when the join adds nothing.
+    Keys only in [m1] stay, keys only in [m2] are added, and common keys
+    are joined by [f k a b] — which returns [a] itself when the join
+    leaves it unchanged — unless [skip a b].  [f] is called in descending
+    key order, the order in which [M.merge] calls its function: value
+    joins share one stride-discovery context, so the order is part of the
+    result. *)
+module Join (M : Map.S) = struct
+  let join ~skip f m1 m2 =
+    let common = ref [] and added = ref [] in
+    M.iter
+      (fun k b ->
+        match M.find_opt k m1 with
+        | None -> added := (k, b) :: !added
+        | Some a -> if not (skip a b) then common := (k, a, b) :: !common)
+      m2;
+    let m =
+      List.fold_left
+        (fun m (k, a, b) ->
+          let v = f k a b in
+          if v == a then m else M.add k v m)
+        m1 !common
+    in
+    List.fold_left (fun m (k, b) -> M.add k b m) m !added
+end
+
+module Sigma_join = Join (Sigma)
+module Rmap_join = Join (Rmap)
 
 (* ---- lookups ---------------------------------------------------------- *)
 
@@ -307,73 +401,95 @@ let escape_args (s : t) (args : aval list) : t =
 
 (* ---- allocation-site symbol recycling (§2.4 newinstance) -------------- *)
 
+let mentions_sym (a : Refsym.t) = function
+  | Ref ri ->
+      Rset.mem a ri.refs || Nos.exists (fun (r, _) -> Refsym.equal r a) ri.nos
+  | Bot | Clash | Int _ -> false
+
 (** Substitute [R_site/A → R_site/B] throughout the state: ρ, stk, NL, the
     domain and range of σ, Len, NR and versions — the paper's rngSubst,
     transfer and replS.  Null-or-same facts naming the site are dropped
-    (the name is about to denote a different object). *)
+    (the name is about to denote a different object).  A state that never
+    mentions [R_site/A] is returned as it is. *)
 let retire_site (s : t) (site : int) : t =
   let a_sym = Refsym.recent site in
   let b_sym = Refsym.summary site in
-  let subst_set rs =
-    if Rset.mem a_sym rs then Rset.add b_sym (Rset.remove a_sym rs) else rs
-  in
-  let drop_site_nos nos =
-    Nos.filter (fun (r, _) -> not (Refsym.equal r a_sym)) nos
-  in
-  let subst_aval = function
-    | Ref ri ->
-        Ref { ri with refs = subst_set ri.refs; nos = drop_site_nos ri.nos }
-    | (Bot | Clash | Int _) as v -> v
-  in
-  let subst_key (r, f) = (Refsym.subst ~from_sym:a_sym ~to_sym:b_sym r, f) in
-  let sigma =
-    Sigma.fold
-      (fun key v acc ->
-        let key = subst_key key in
-        let v = subst_aval v in
-        match Sigma.find_opt key acc with
-        | None -> Sigma.add key v acc
-        | Some old ->
+  let mentions = mentions_sym a_sym in
+  if
+    not
+      (Rset.mem a_sym s.nl || Rmap.mem a_sym s.len || Rmap.mem a_sym s.nr
+      || Array.exists mentions s.rho
+      || List.exists mentions s.stk
+      || Sigma.exists
+           (fun (r, _) v -> Refsym.equal r a_sym || mentions v)
+           s.sigma)
+  then s
+  else
+    let subst_set rs =
+      if Rset.mem a_sym rs then Rset.add b_sym (Rset.remove a_sym rs) else rs
+    in
+    let subst_aval = function
+      | Ref ri as v ->
+          let refs = subst_set ri.refs in
+          let nos = Nos.filter (fun (r, _) -> not (Refsym.equal r a_sym)) ri.nos in
+          if refs == ri.refs && nos == ri.nos then v else Ref { ri with refs; nos }
+      | (Bot | Clash | Int _) as v -> v
+    in
+    let s = map_values subst_aval s in
+    (* fold each (R_site/A, f) entry into (R_site/B, f) *)
+    let sigma =
+      Sigma.fold
+        (fun ((r, f) as key) v acc ->
+          if not (Refsym.equal r a_sym) then acc
+          else
+            let acc = Sigma.remove key acc in
             let merged =
-              match old, v with
-              | Ref a, Ref b ->
-                  Ref
-                    (mk_refinfo
-                       ~nos:(Nos.inter a.nos b.nos)
-                       (Rset.union a.refs b.refs))
-              | Int a, Int b -> Int (Intval.merge_flat a b)
-              | Bot, x | x, Bot -> x
-              | _ -> Clash
+              match Sigma.find_opt (b_sym, f) acc with
+              | None -> v
+              | Some old -> (
+                  match old, v with
+                  | Ref a, Ref b ->
+                      Ref
+                        (mk_refinfo
+                           ~nos:(Nos.inter a.nos b.nos)
+                           (Rset.union a.refs b.refs))
+                  | Int a, Int b -> Int (Intval.merge_flat a b)
+                  | Bot, x | x, Bot -> x
+                  | _ -> Clash)
             in
-            Sigma.add key merged acc)
-      s.sigma Sigma.empty
-  in
-  let remap_rmap merge m =
-    Rmap.fold
-      (fun r v acc ->
-        let r = Refsym.subst ~from_sym:a_sym ~to_sym:b_sym r in
-        match Rmap.find_opt r acc with
-        | None -> Rmap.add r v acc
-        | Some old -> Rmap.add r (merge old v) acc)
-      m Rmap.empty
-  in
-  {
-    s with
-    rho = Array.map subst_aval s.rho;
-    stk = List.map subst_aval s.stk;
-    nl = subst_set s.nl;
-    sigma;
-    len = remap_rmap Intval.merge_flat s.len;
-    nr = remap_rmap Intrange.merge_flat s.nr;
-  }
+            Sigma.add (b_sym, f) merged acc)
+        s.sigma s.sigma
+    in
+    let remap_rmap merge m =
+      match Rmap.find_opt a_sym m with
+      | None -> m
+      | Some v ->
+          let m = Rmap.remove a_sym m in
+          Rmap.add b_sym
+            (match Rmap.find_opt b_sym m with
+            | None -> v
+            | Some old -> merge old v)
+            m
+    in
+    {
+      s with
+      nl = subst_set s.nl;
+      sigma;
+      len = remap_rmap Intval.merge_flat s.len;
+      nr = remap_rmap Intrange.merge_flat s.nr;
+    }
 
 (* ---- merging (§2.2, §3.5) --------------------------------------------- *)
 
 (** Merge null-or-same facts: a fact survives when on {e each} side either
     it was recorded for the value, or the side's σ shows the location
-    definitely null — the "or the field is null" disjunct of §4.3. *)
+    definitely null — the "or the field is null" disjunct of §4.3.
+    Returns [r1.nos] itself when every fact of both sides is already in
+    it and survives. *)
 let merge_nos (s1 : t) (s2 : t) (r1 : refinfo) (r2 : refinfo) : Nos.t =
-  let candidates = Nos.union r1.nos r2.nos in
+  let candidates =
+    if Nos.subset r2.nos r1.nos then r1.nos else Nos.union r1.nos r2.nos
+  in
   let side_ok (s : t) (ri : refinfo) ((r, f) : Refsym.t * Field_id.t) =
     Nos.mem (r, f) ri.nos
     || ((not (Rset.mem r s.nl))
@@ -400,28 +516,49 @@ let merge_eprov ctx a b =
          && Bool.equal e1.ep_displaced e2.ep_displaced -> (
       match Intval.merge ctx e1.ep_idx e2.ep_idx with
       | Intval.Top -> None
-      | i -> Some { e1 with ep_idx = i })
+      | i -> if i == e1.ep_idx then a else Some { e1 with ep_idx = i })
   | Some _, Some _ | None, _ | _, None -> None
 
+(** Equal values merge to the left one without touching the context:
+    value merge is idempotent, and an element provenance never carries a
+    ⊤ index (⊤ indices are dropped where provenances are made and
+    merged), so no component of an equal pair can change. *)
 let merge_aval (ctx : Intval.Ctx.ctx) (s1 : t) (s2 : t) (a : aval) (b : aval)
     : aval =
-  match a, b with
-  | Bot, x | x, Bot -> x
-  | Int x, Int y -> Int (Intval.merge ctx x y)
-  | Ref x, Ref y ->
-      Ref
-        {
-          refs = Rset.union x.refs y.refs;
-          nos = merge_nos s1 s2 x y;
-          msrc = merge_msrc x.msrc y.msrc;
-          eprov = merge_eprov ctx x.eprov y.eprov;
-        }
-  | Clash, _ | _, Clash -> Clash
-  | Int _, Ref _ | Ref _, Int _ -> Clash
+  if equal_aval a b then a
+  else
+    match a, b with
+    | Bot, x | x, Bot -> x
+    | Int x, Int y ->
+        let z = Intval.merge ctx x y in
+        if z == x then a else Int z
+    | Ref x, Ref y ->
+        let eprov = merge_eprov ctx x.eprov y.eprov in
+        let msrc = merge_msrc x.msrc y.msrc in
+        let nos = merge_nos s1 s2 x y in
+        let refs =
+          if Rset.subset y.refs x.refs then x.refs
+          else Rset.union x.refs y.refs
+        in
+        if refs == x.refs && nos == x.nos && msrc == x.msrc && eprov == x.eprov
+        then a
+        else Ref { refs; nos; msrc; eprov }
+    | Clash, _ | _, Clash -> Clash
+    | Int _, Ref _ | Ref _, Int _ -> Clash
+
+(* A ⊤ bound makes even a range merged with itself drop to [Empty]:
+   [Intrange.merge] keeps only bounds that merge below ⊤. *)
+let top_bounded : Intrange.t -> bool = function
+  | Empty -> false
+  | Full (lo, hi) -> Intval.is_top lo || Intval.is_top hi
+  | From b | Up_to b -> Intval.is_top b
 
 (** Merge two whole states through one shared merge context, so that all
     integer state components (ρ, stk, and NR bounds — §3.5) discover common
-    strides.  Raises [Invalid_argument] on operand-stack disagreement,
+    strides.  Components are merged in a fixed order (σ, Len, NR, shift,
+    stk, ρ), since the context's discoveries depend on it.  Each component
+    the join leaves unchanged is [s1]'s own, and [s1] itself is returned
+    when all are.  Raises [Invalid_argument] on operand-stack disagreement,
     which the verifier rules out. *)
 let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
   let ctx = Intval.Ctx.create ~widen gen in
@@ -429,33 +566,22 @@ let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
   if List.length s1.stk <> List.length s2.stk then
     invalid_arg "State.merge: operand stack mismatch";
   let sigma =
-    Sigma.merge
-      (fun _ a b ->
-        match a, b with
-        | None, x | x, None -> x
-        | Some a, Some b -> Some (mav a b))
-      s1.sigma s2.sigma
+    Sigma_join.join ~skip:( == ) (fun _ a b -> mav a b) s1.sigma s2.sigma
   in
   let len =
-    Rmap.merge
-      (fun _ a b ->
-        match a, b with
-        | None, x | x, None -> x
-        | Some a, Some b -> Some (Intval.merge ctx a b))
+    Rmap_join.join ~skip:( == )
+      (fun _ a b -> Intval.merge ctx a b)
       s1.len s2.len
   in
   let nr =
-    Rmap.merge
+    Rmap_join.join
+      ~skip:(fun a b -> a == b && not (top_bounded a))
       (fun r a b ->
-        match a, b with
-        | None, x | x, None -> x
-        | Some a, Some b ->
-            let len_of (s : t) =
-              match Rmap.find_opt r s.len with
-              | Some l -> l
-              | None -> Intval.top
-            in
-            Some (Intrange.merge ctx ~len1:(len_of s1) ~len2:(len_of s2) a b))
+        let len_of (s : t) =
+          match Rmap.find_opt r s.len with Some l -> l | None -> Intval.top
+        in
+        let m = Intrange.merge ctx ~len1:(len_of s1) ~len2:(len_of s2) a b in
+        if Intrange.equal m a then a else m)
       s1.nr s2.nr
   in
   let shift =
@@ -463,18 +589,17 @@ let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
     | Some (m1, i1), Some (m2, i2) when equal_must_src m1 m2 -> (
         match Intval.merge ctx i1 i2 with
         | Intval.Top -> None
-        | i -> Some (m1, i))
+        | i -> if i == i1 then s1.shift else Some (m1, i))
     | Some _, Some _ | None, _ | _, None -> None
   in
-  {
-    rho = Array.map2 mav s1.rho s2.rho;
-    stk = List.map2 mav s1.stk s2.stk;
-    nl = Rset.union s1.nl s2.nl;
-    sigma;
-    len;
-    nr;
-    shift;
-  }
+  let stk = map2_list mav s1.stk s2.stk in
+  let rho = map2_array mav s1.rho s2.rho in
+  let nl = if Rset.subset s2.nl s1.nl then s1.nl else Rset.union s1.nl s2.nl in
+  if
+    rho == s1.rho && stk == s1.stk && nl == s1.nl && sigma == s1.sigma
+    && len == s1.len && nr == s1.nr && shift == s1.shift
+  then s1
+  else { rho; stk; nl; sigma; len; nr; shift }
 
 (* ---- null-or-same fact invalidation ----------------------------------- *)
 
@@ -485,49 +610,44 @@ let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
 let kill_nos (s : t) (locs : (Refsym.t * Field_id.t) list) : t =
   if locs = [] then s
   else
-    let dead (r, f) =
-      List.exists
-        (fun (r', f') -> Refsym.equal r r' && Field_id.equal f f')
-        locs
+    let live (r, f) =
+      not
+        (List.exists
+           (fun (r', f') -> Refsym.equal r r' && Field_id.equal f f')
+           locs)
     in
-    let clean = function
-      | Ref ri -> Ref { ri with nos = Nos.filter (fun l -> not (dead l)) ri.nos }
-      | (Bot | Clash | Int _) as v -> v
-    in
-    {
-      s with
-      rho = Array.map clean s.rho;
-      stk = List.map clean s.stk;
-      sigma = Sigma.map clean s.sigma;
-    }
+    map_values
+      (function
+        | Ref ri as v ->
+            let nos = Nos.filter live ri.nos in
+            if nos == ri.nos then v else Ref { ri with nos }
+        | (Bot | Clash | Int _) as v -> v)
+      s
 
 (** Invalidate must-source-derived facts.  [pred m] selects the sources
     to kill; values lose their [msrc]/[eprov], and the active shift chain
     dies if its source matches. *)
 let kill_must_src (s : t) (pred : must_src -> bool) : t =
-  let clean = function
-    | Ref ri ->
-        let msrc =
-          match ri.msrc with Some m when pred m -> None | o -> o
-        in
-        let eprov =
-          match ri.eprov with
-          | Some { ep_src = m; _ } when pred m -> None
-          | o -> o
-        in
-        Ref { ri with msrc; eprov }
-    | (Bot | Clash | Int _) as v -> v
+  let s =
+    map_values
+      (function
+        | Ref ri as v ->
+            let msrc =
+              match ri.msrc with Some m when pred m -> None | o -> o
+            in
+            let eprov =
+              match ri.eprov with
+              | Some { ep_src = m; _ } when pred m -> None
+              | o -> o
+            in
+            if msrc == ri.msrc && eprov == ri.eprov then v
+            else Ref { ri with msrc; eprov }
+        | (Bot | Clash | Int _) as v -> v)
+      s
   in
-  let shift =
-    match s.shift with Some (m, _) when pred m -> None | o -> o
-  in
-  {
-    s with
-    rho = Array.map clean s.rho;
-    stk = List.map clean s.stk;
-    sigma = Sigma.map clean s.sigma;
-    shift;
-  }
+  match s.shift with
+  | Some (m, _) when pred m -> { s with shift = None }
+  | Some _ | None -> s
 
 (** Kill every must-source fact (conservative barrier for calls, which
     may write any static or array). *)
@@ -538,16 +658,11 @@ let kill_all_must_src (s : t) : t = kill_must_src s (fun _ -> true)
     caller re-establishes the shift chain separately when the store
     extended it.) *)
 let kill_all_eprov (s : t) : t =
-  let clean = function
-    | Ref ({ eprov = Some _; _ } as ri) -> Ref { ri with eprov = None }
-    | (Bot | Clash | Int _ | Ref { eprov = None; _ }) as v -> v
-  in
-  {
-    s with
-    rho = Array.map clean s.rho;
-    stk = List.map clean s.stk;
-    sigma = Sigma.map clean s.sigma;
-  }
+  map_values
+    (function
+      | Ref ({ eprov = Some _; _ } as ri) -> Ref { ri with eprov = None }
+      | (Bot | Clash | Int _ | Ref { eprov = None; _ }) as v -> v)
+    s
 
 (** Refine element provenances across an object-array store to index
     [idx] of the array identified by [src].
@@ -566,28 +681,20 @@ let kill_all_eprov (s : t) : t =
     slot. *)
 let eprov_after_store (s : t) ~(src : must_src option) ~(idx : Intval.t)
     ~(displace : bool) : t =
-  let clean = function
-    | Ref ({ eprov = Some ep; _ } as ri) ->
-        let eprov =
+  map_values
+    (function
+      | Ref ({ eprov = Some ep; _ } as ri) as v -> (
           match src with
-          | Some m when equal_must_src ep.ep_src m && not ep.ep_displaced ->
+          | Some m when equal_must_src ep.ep_src m && not ep.ep_displaced -> (
               if displace && Intval.equal ep.ep_idx idx then
-                Some { ep with ep_displaced = true }
-              else (
+                Ref { ri with eprov = Some { ep with ep_displaced = true } }
+              else
                 match Intval.to_literal (Intval.sub ep.ep_idx idx) with
-                | Some d when d <> 0 -> Some ep
-                | Some _ | None -> None)
-          | Some _ | None -> None
-        in
-        Ref { ri with eprov }
-    | (Bot | Clash | Int _ | Ref { eprov = None; _ }) as v -> v
-  in
-  {
-    s with
-    rho = Array.map clean s.rho;
-    stk = List.map clean s.stk;
-    sigma = Sigma.map clean s.sigma;
-  }
+                | Some d when d <> 0 -> v
+                | Some _ | None -> Ref { ri with eprov = None })
+          | Some _ | None -> Ref { ri with eprov = None })
+      | (Bot | Clash | Int _ | Ref { eprov = None; _ }) as v -> v)
+    s
 
 (* ---- stack and locals helpers ----------------------------------------- *)
 

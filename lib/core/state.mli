@@ -1,7 +1,22 @@
 (** Abstract program states for the barrier-removal analyses: the paper's
     ⟨ρ, σ, NL, stk⟩ tuple (§2.1) plus the array-analysis components Len
     and NR (§3.2), the null-or-same facts (§4.3), and the move-down shift
-    chains (§4.3). *)
+    chains (§4.3).
+
+    {b Sharing.}  States are persistent, and every operation below that
+    finds nothing to change hands back its input physically: {!merge}
+    returns its left operand when the join adds nothing (and each
+    component it leaves alone), {!merge_aval} its left value, and the
+    rewrites ({!retire_site}, {!kill_nos}, {!kill_must_src},
+    {!kill_all_eprov}, {!eprov_after_store}) their input state.  So a join
+    or rewrite that adds no information allocates nothing, and {!equal}
+    tries [==] before any structural walk.  The short-circuits are exact,
+    not approximations: merging equal values is the identity and touches
+    no stride-discovery context.  The one exception is a null range with
+    a ⊤ bound ([Full (0, ⊤)] for an array of unknown length): merged even
+    with itself it drops to [Empty], because {!Intrange.merge} keeps only
+    bounds that merge below ⊤, so such entries always go through the
+    merge. *)
 
 module Rset = Refsym.Set
 
@@ -62,7 +77,9 @@ val global_v : aval
 val pp_aval : aval Fmt.t
 val pp : t Fmt.t
 val equal_aval : aval -> aval -> bool
+
 val equal : t -> t -> bool
+(** Structural equality; physically shared components are not walked. *)
 
 (** {2 Lookups} *)
 
@@ -101,7 +118,8 @@ val reach_closure : t -> Rset.t -> Rset.t
 
 val retire_site : t -> int -> t
 (** Substitute [R_site/A → R_site/B] throughout the state (the paper's
-    rngSubst / transfer / replS). *)
+    rngSubst / transfer / replS); the state itself when [R_site/A] occurs
+    nowhere in it. *)
 
 (** {2 Merging (§2.2, §3.5)} *)
 
@@ -114,13 +132,18 @@ val merge_eprov :
     components. *)
 
 val merge_aval : Intval.Ctx.ctx -> t -> t -> aval -> aval -> aval
+(** The left value itself when the values are equal or the merge leaves
+    it unchanged. *)
 
 val merge : ?widen:bool -> gen:Intval.Gen.t -> t -> t -> t
 (** Merge two whole states through one shared stride-discovery context,
     so all integer state components (ρ, stk, NR bounds, shift indices)
-    can share variable unknowns (§3.5). *)
+    can share variable unknowns (§3.5).  Returns the left state itself
+    when the join adds nothing. *)
 
 (** {2 Fact invalidation} *)
+
+(** Each returns its input state itself when it finds nothing to kill. *)
 
 val kill_nos : t -> (Refsym.t * Field_id.t) list -> t
 (** Remove null-or-same facts about possibly-written locations from every

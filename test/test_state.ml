@@ -207,7 +207,209 @@ let test_kill_nos () =
       Alcotest.(check bool) "other kept" true (S.Nos.mem other nos)
   | _ -> Alcotest.fail "expected ref"
 
+(* ---- sharing: joins and rewrites that change nothing allocate nothing -- *)
+
+let mx = S.Mstatic ("Main", "x")
+let my = S.Mstatic ("Main", "y")
+
+(* one value of every kind, and a σ entry, an NR entry and a shift chain *)
+let rich_state () : S.t =
+  let ep = { S.ep_src = mx; ep_idx = I.const 3; ep_displaced = false } in
+  let v =
+    S.Ref
+      (S.mk_refinfo ~msrc:mx ~eprov:ep
+         ~nos:(S.Nos.singleton (a0, f_b))
+         (rs [ a0; Sym.Global ]))
+  in
+  let s = empty_state ~locals:3 in
+  let s = S.set_local s 0 v in
+  let s = S.set_local s 1 (S.Int (I.of_var_unknown 0)) in
+  let s = S.push S.null_v (S.push v s) in
+  {
+    s with
+    sigma = S.Sigma.add (a1, f_a) v (S.Sigma.add (a1, f_b) S.null_v s.sigma);
+    len = S.Rmap.add a1 (I.const 8) s.len;
+    nr = S.Rmap.add a1 (Satb_core.Intrange.Full (I.const 2, I.const 7)) s.nr;
+    shift = Some (mx, I.const 4);
+  }
+
+let check_same name s s' = Alcotest.(check bool) name true (s' == s)
+let check_rewritten name s s' = Alcotest.(check bool) name false (s' == s)
+
+let test_merge_self_is_identity () =
+  let s = rich_state () in
+  check_same "merge s s == s" s (S.merge ~gen:(gen ()) s s);
+  check_same "merge s (copy of s) == s" s
+    (S.merge ~gen:(gen ()) s { s with rho = Array.copy s.rho })
+
+let test_merge_subsumed_is_identity () =
+  (* the incoming state adds nothing: fewer symbols, no extra NL *)
+  let s1 = S.set_local (empty_state ~locals:1) 0 (S.ref_of (rs [ a0; a1 ])) in
+  let s2 = S.set_local (empty_state ~locals:1) 0 (S.ref_of (rs [ a1 ])) in
+  check_same "subsumed join returns s1" s1 (S.merge ~gen:(gen ()) s1 s2);
+  check_rewritten "growing join builds a new state" s2
+    (S.merge ~gen:(gen ()) s2 s1)
+
+let test_merge_top_bounded_nr_still_merges () =
+  (* an array of unknown length: [0..⊤] merged with itself keeps no bound
+     below ⊤, so it drops to [Empty] — the join must not short-circuit *)
+  let s =
+    {
+      (empty_state ~locals:1) with
+      nr = S.Rmap.singleton a1 (Satb_core.Intrange.Full (I.const 0, I.top));
+    }
+  in
+  let m = S.merge ~gen:(gen ()) s s in
+  check_rewritten "⊤-bounded range is merged" s m;
+  Alcotest.(check bool) "to Empty" true
+    (Satb_core.Intrange.equal (S.lookup_nr m a1) Satb_core.Intrange.Empty)
+
+let nos_of (s : S.t) =
+  match S.local s 0 with S.Ref ri -> ri.nos | _ -> Alcotest.fail "ref"
+
+let refinfo_of (s : S.t) =
+  match S.local s 0 with S.Ref ri -> ri | _ -> Alcotest.fail "ref"
+
+let test_kill_nos_sharing () =
+  let s = rich_state () in
+  check_same "no locations" s (S.kill_nos s []);
+  check_same "no matching fact" s (S.kill_nos s [ (a0, f_a); (a1, f_b) ]);
+  let s' = S.kill_nos s [ (a0, f_b) ] in
+  check_rewritten "matching fact" s s';
+  Alcotest.(check bool) "fact gone" true (S.Nos.is_empty (nos_of s'));
+  Alcotest.(check bool) "input untouched" false (S.Nos.is_empty (nos_of s))
+
+let test_kill_must_src_sharing () =
+  let s = rich_state () in
+  check_same "other source" s (S.kill_must_src s (S.equal_must_src my));
+  let s' = S.kill_must_src s (S.equal_must_src mx) in
+  check_rewritten "matching source" s s';
+  let ri = refinfo_of s' in
+  Alcotest.(check bool) "msrc and eprov gone" true
+    (ri.msrc = None && ri.eprov = None && s'.shift = None);
+  let bare = S.set_local (empty_state ~locals:1) 0 (S.ref_of (rs [ a0 ])) in
+  check_same "nothing to kill" bare (S.kill_all_must_src bare);
+  check_rewritten "kill all" s (S.kill_all_must_src s)
+
+let test_kill_all_eprov_sharing () =
+  let s = rich_state () in
+  let s' = S.kill_all_eprov s in
+  check_rewritten "provenances present" s s';
+  Alcotest.(check bool) "eprov gone" true ((refinfo_of s').eprov = None);
+  check_same "none left" s' (S.kill_all_eprov s')
+
+let test_eprov_after_store_sharing () =
+  let s = rich_state () in
+  check_same "other slot of the same array" s
+    (S.eprov_after_store s ~src:(Some mx) ~idx:(I.const 5) ~displace:false);
+  let dies =
+    S.eprov_after_store s ~src:(Some mx) ~idx:(I.const 3) ~displace:false
+  in
+  check_rewritten "same slot" s dies;
+  Alcotest.(check bool) "fact dies" true ((refinfo_of dies).eprov = None);
+  check_rewritten "unknown source" s
+    (S.eprov_after_store s ~src:None ~idx:(I.const 5) ~displace:false);
+  match
+    (refinfo_of
+       (S.eprov_after_store s ~src:(Some mx) ~idx:(I.const 3) ~displace:true))
+      .eprov
+  with
+  | Some ep -> Alcotest.(check bool) "displaced" true ep.ep_displaced
+  | None -> Alcotest.fail "expected a displaced provenance"
+
+let test_retire_site_sharing () =
+  let s = rich_state () in
+  check_same "site 2 never mentioned" s (S.retire_site s 2);
+  (* R1/A is mentioned only as a σ, Len and NR key *)
+  let s1 = S.retire_site s 1 in
+  check_rewritten "site 1 keys" s s1;
+  Alcotest.(check bool) "σ key moved" true
+    (S.Sigma.mem (Sym.summary 1, f_a) s1.sigma
+    && not (S.Sigma.mem (a1, f_a) s1.sigma));
+  Alcotest.(check bool) "len and nr keys moved" true
+    (S.Rmap.mem (Sym.summary 1) s1.len && S.Rmap.mem (Sym.summary 1) s1.nr);
+  (* R0/A is mentioned only inside values (refs and a null-or-same fact) *)
+  let s0 = S.retire_site s 0 in
+  check_rewritten "site 0 values" s s0;
+  Alcotest.(check bool) "fact about R0/A dropped" true
+    (S.Nos.is_empty (nos_of s0))
+
 (* ---- properties -------------------------------------------------------- *)
+
+let field_id : F.t QCheck2.Gen.t =
+  QCheck2.Gen.(
+    oneof
+      [
+        return F.Elems;
+        map2
+          (fun c f -> F.F (c, f))
+          (oneofl [ ""; "A"; "AB"; "B" ])
+          (oneofl [ ""; "x"; "xy"; "y" ]);
+      ])
+
+let sign n = compare n 0
+
+let prop_refsym_compare_is_stdlib_order =
+  QCheck2.Test.make ~name:"Refsym.compare agrees with Stdlib.compare"
+    ~count:500 (QCheck2.Gen.pair Gen.refsym Gen.refsym) (fun (a, b) ->
+      sign (Sym.compare a b) = sign (Stdlib.compare a b)
+      && Bool.equal (Sym.equal a b) (Stdlib.compare a b = 0))
+
+let prop_field_id_compare_is_stdlib_order =
+  QCheck2.Test.make ~name:"Field_id.compare agrees with Stdlib.compare"
+    ~count:500 (QCheck2.Gen.pair field_id field_id) (fun (a, b) ->
+      sign (F.compare a b) = sign (Stdlib.compare a b)
+      && Bool.equal (F.equal a b) (Stdlib.compare a b = 0))
+
+(* random states with no ⊤-bounded null range (the one component a
+   self-join may change) *)
+let gen_state : S.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let msrc = oneofl [ mx; my ] in
+  let eprov =
+    map3
+      (fun ep_src ep_idx ep_displaced -> { S.ep_src; ep_idx; ep_displaced })
+      msrc Gen.lin_intval bool
+  in
+  let nos =
+    map S.Nos.of_list (list_size (int_range 0 2) (pair Gen.refsym field_id))
+  in
+  let refinfo =
+    map4
+      (fun refs nos msrc eprov -> { S.refs; nos; msrc; eprov })
+      Gen.refset nos (opt msrc) (opt eprov)
+  in
+  let aval =
+    frequency
+      [
+        (1, return S.Bot);
+        (1, return S.Clash);
+        (3, map (fun i -> S.Int i) Gen.intval);
+        (5, map (fun ri -> S.Ref ri) refinfo);
+      ]
+  in
+  let rmap v =
+    map
+      (List.fold_left (fun m (r, x) -> S.Rmap.add r x m) S.Rmap.empty)
+      (list_size (int_range 0 3) (pair Gen.refsym v))
+  in
+  let* rho = array_size (int_range 0 4) aval in
+  let* stk = list_size (int_range 0 3) aval in
+  let* nl = Gen.refset in
+  let* sigma =
+    map
+      (List.fold_left (fun m (k, v) -> S.Sigma.add k v m) S.Sigma.empty)
+      (list_size (int_range 0 5) (pair (pair Gen.refsym field_id) aval))
+  in
+  let* len = rmap Gen.intval in
+  let* nr = rmap Gen.intrange in
+  let* shift = opt (pair msrc Gen.lin_intval) in
+  return { S.rho; stk; nl; sigma; len; nr; shift }
+
+let prop_merge_self_shares =
+  QCheck2.Test.make ~name:"merge s s == s without ⊤-bounded ranges"
+    ~count:300 gen_state (fun s -> S.merge ~gen:(gen ()) s s == s)
+
 
 let mk_state refs_list : S.t =
   let s = empty_state ~locals:(List.length refs_list) in
@@ -258,9 +460,24 @@ let unit_tests =
     ("merge sigma bottom", test_merge_sigma_missing_is_bottom);
     ("merge nos disjunction", test_merge_nos_survives_via_sigma_null);
     ("kill_nos", test_kill_nos);
+    ("merge s s shares s", test_merge_self_is_identity);
+    ("subsumed merge shares s1", test_merge_subsumed_is_identity);
+    ("⊤-bounded nr still merged", test_merge_top_bounded_nr_still_merges);
+    ("kill_nos shares no-ops", test_kill_nos_sharing);
+    ("kill_must_src shares no-ops", test_kill_must_src_sharing);
+    ("kill_all_eprov shares no-ops", test_kill_all_eprov_sharing);
+    ("eprov_after_store shares no-ops", test_eprov_after_store_sharing);
+    ("retire_site shares no-ops", test_retire_site_sharing);
   ]
 
 let tests =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_merge_commutative_refs; prop_merge_upper_bound; prop_escape_monotone ]
+      [
+        prop_merge_commutative_refs;
+        prop_merge_upper_bound;
+        prop_escape_monotone;
+        prop_merge_self_shares;
+        prop_refsym_compare_is_stdlib_order;
+        prop_field_id_compare_is_stdlib_order;
+      ]
