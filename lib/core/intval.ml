@@ -185,41 +185,25 @@ let subst_var i ~v ~by =
       variable stands for in each input state ([μ₁], [μ₂]);
     - [widen]: when set, no new variable unknowns are invented and unequal
       values merge straight to ⊤ (termination safety net).
-    Most joins discover no stride at all, so the three tables are created
-    on the first write; until then every lookup misses. *)
+    Most joins discover no stride, so the three maps are association
+    lists that start empty: a context costs one small record until its
+    first discovery.  Every key is bound at most once (a stride or a
+    variable is only bound after a lookup missed), so consing is
+    replacement. *)
 module Ctx = struct
-  type tables = {
-    u : (int, int) Hashtbl.t;
-    mu1 : (int, t) Hashtbl.t;
-    mu2 : (int, t) Hashtbl.t;
+  type ctx = {
+    gen : Gen.t;
+    widen : bool;
+    mutable u : (int * int) list;
+    mutable mu1 : (int * t) list;
+    mutable mu2 : (int * t) list;
   }
 
-  type ctx = { gen : Gen.t; widen : bool; mutable tables : tables option }
+  let create ?(widen = false) gen = { gen; widen; u = []; mu1 = []; mu2 = [] }
 
-  let create ?(widen = false) gen = { gen; widen; tables = None }
-
-  let tables ctx =
-    match ctx.tables with
-    | Some t -> t
-    | None ->
-        let t =
-          { u = Hashtbl.create 4; mu1 = Hashtbl.create 4; mu2 = Hashtbl.create 4 }
-        in
-        ctx.tables <- Some t;
-        t
-
-  let find_u ctx d =
-    match ctx.tables with None -> None | Some t -> Hashtbl.find_opt t.u d
-
-  (* [swapped] exchanges the roles of μ₁ and μ₂ (Figure 1, lines 8-9) *)
-  let find_mu ctx ~swapped ~first v =
-    match ctx.tables with
-    | None -> None
-    | Some t -> Hashtbl.find_opt (if first <> swapped then t.mu1 else t.mu2) v
-
-  let set_mu ctx ~swapped ~first v x =
-    let t = tables ctx in
-    Hashtbl.replace (if first <> swapped then t.mu1 else t.mu2) v x
+  let rec find k = function
+    | [] -> None
+    | (k', x) :: l -> if k = k' then Some x else find k l
 end
 
 (** [match_ i1 i2] (paper's [match]): [i1] has variable term [a₁·v₁];
@@ -265,6 +249,12 @@ let match_ (i1 : lin) (i2 : lin) : t option =
     one integer state component appearing as [i1] in the first input state
     and [i2] in the second. *)
 let merge (ctx : Ctx.ctx) (i1 : t) (i2 : t) : t =
+  (* [swapped] exchanges the roles of μ₁ and μ₂ (lines 8-9) *)
+  let mu ~swapped ~first = if first <> swapped then ctx.mu1 else ctx.mu2 in
+  let bind_mu ~swapped ~first v x =
+    if first <> swapped then ctx.mu1 <- (v, x) :: ctx.mu1
+    else ctx.mu2 <- (v, x) :: ctx.mu2
+  in
   let rec go ~swapped i1 i2 =
     match i1, i2 with
     | Top, _ | _, Top -> Top
@@ -276,40 +266,42 @@ let merge (ctx : Ctx.ctx) (i1 : t) (i2 : t) : t =
              swapping the substitution maps accordingly *)
           go ~swapped:(not swapped) i2 i1
         else begin
-          let delta = sub i2 i1 in
-          match to_literal delta, var_term i1 with
-          | Some d, None -> (
-              (* lines 11-19: two distinct constants; invent or reuse the
-                 variable unknown that varies with stride d *)
-              match Ctx.find_u ctx d with
-              | None ->
-                  let v = Gen.fresh_var ctx.gen in
-                  Hashtbl.replace (Ctx.tables ctx).u d v;
-                  Ctx.set_mu ctx ~swapped ~first:true v i1;
-                  Ctx.set_mu ctx ~swapped ~first:false v i2;
-                  of_var_unknown v
-              | Some v -> (
-                  match Ctx.find_mu ctx ~swapped ~first:true v with
-                  | Some m1 ->
-                      (* d = i1 - μ1(v) must be variable-free (asserted in
-                         the paper); return v + d *)
-                      let d = sub i1 m1 in
-                      if var_term d = None && not (is_top d) then
-                        add (of_var_unknown v) d
-                      else Top
-                  | None -> Top))
-          | _, Some (a1, v1) when a1 <> 0 -> (
+          match l1.var with
+          | None -> (
+              match to_literal (sub i2 i1) with
+              | Some d -> (
+                  (* lines 11-19: two distinct constants; invent or reuse
+                     the variable unknown that varies with stride d *)
+                  match Ctx.find d ctx.u with
+                  | None ->
+                      let v = Gen.fresh_var ctx.gen in
+                      ctx.u <- (d, v) :: ctx.u;
+                      bind_mu ~swapped ~first:true v i1;
+                      bind_mu ~swapped ~first:false v i2;
+                      of_var_unknown v
+                  | Some v -> (
+                      match Ctx.find v (mu ~swapped ~first:true) with
+                      | Some m1 ->
+                          (* d = i1 - μ1(v) must be variable-free (asserted
+                             in the paper); return v + d *)
+                          let d = sub i1 m1 in
+                          if var_term d = None && not (is_top d) then
+                            add (of_var_unknown v) d
+                          else Top
+                      | None -> Top))
+              | None -> Top)
+          | Some (a1, v1) when a1 <> 0 -> (
               (* lines 21-31 *)
-              match Ctx.find_mu ctx ~swapped ~first:false v1 with
+              match Ctx.find v1 (mu ~swapped ~first:false) with
               | Some s ->
                   if equal (subst_var i1 ~v:v1 ~by:s) i2 then i1 else Top
               | None -> (
                   match match_ l1 l2 with
                   | Some s ->
-                      Ctx.set_mu ctx ~swapped ~first:false v1 s;
+                      bind_mu ~swapped ~first:false v1 s;
                       i1
                   | None -> Top))
-          | _, _ -> Top
+          | Some _ -> Top
         end
   in
   go ~swapped:false i1 i2

@@ -240,21 +240,18 @@ let map_values (f : aval -> aval) (s : t) : t =
     result. *)
 module Join (M : Map.S) = struct
   let join ~skip f m1 m2 =
-    let common = ref [] and added = ref [] in
+    let m = ref m1 and common = ref [] in
     M.iter
       (fun k b ->
-        match M.find_opt k m1 with
-        | None -> added := (k, b) :: !added
-        | Some a -> if not (skip a b) then common := (k, a, b) :: !common)
+        match M.find k m1 with
+        | a -> if not (skip a b) then common := (k, a, b) :: !common
+        | exception Not_found -> m := M.add k b !m)
       m2;
-    let m =
-      List.fold_left
-        (fun m (k, a, b) ->
-          let v = f k a b in
-          if v == a then m else M.add k v m)
-        m1 !common
-    in
-    List.fold_left (fun m (k, b) -> M.add k b m) m !added
+    List.fold_left
+      (fun m (k, a, b) ->
+        let v = f k a b in
+        if v == a then m else M.add k v m)
+      !m !common
 end
 
 module Sigma_join = Join (Sigma)
