@@ -185,25 +185,25 @@ let subst_var i ~v ~by =
       variable stands for in each input state ([μ₁], [μ₂]);
     - [widen]: when set, no new variable unknowns are invented and unequal
       values merge straight to ⊤ (termination safety net).
-    Most joins discover no stride, so the three maps are association
-    lists that start empty: a context costs one small record until its
-    first discovery.  Every key is bound at most once (a stride or a
-    variable is only bound after a lookup missed), so consing is
-    replacement. *)
+    Most joins discover no stride, so the maps are association lists that
+    start empty: a context costs a few words until its first discovery.
+    A key is only bound after its lookup missed, so consing replaces.
+    The lists sit in refs so that a copy with [mu1] and [mu2] exchanged
+    (lines 8-9 of Figure 1) still shares them. *)
 module Ctx = struct
   type ctx = {
     gen : Gen.t;
+    u : (int * int) list ref;
+    mu1 : (int * t) list ref;
+    mu2 : (int * t) list ref;
     widen : bool;
-    mutable u : (int * int) list;
-    mutable mu1 : (int * t) list;
-    mutable mu2 : (int * t) list;
   }
 
-  let create ?(widen = false) gen = { gen; widen; u = []; mu1 = []; mu2 = [] }
+  let create ?(widen = false) gen =
+    { gen; u = ref []; mu1 = ref []; mu2 = ref []; widen }
 
-  let rec find k = function
-    | [] -> None
-    | (k', x) :: l -> if k = k' then Some x else find k l
+  let find_opt tbl k = List.assoc_opt k !tbl
+  let bind tbl k x = tbl := (k, x) :: !tbl
 end
 
 (** [match_ i1 i2] (paper's [match]): [i1] has variable term [a₁·v₁];
@@ -248,63 +248,52 @@ let match_ (i1 : lin) (i2 : lin) : t option =
 (** Direct transcription of the paper's Figure 1 ([merge_intvals]).  Merges
     one integer state component appearing as [i1] in the first input state
     and [i2] in the second. *)
-let merge (ctx : Ctx.ctx) (i1 : t) (i2 : t) : t =
-  (* [swapped] exchanges the roles of μ₁ and μ₂ (lines 8-9) *)
-  let mu ~swapped ~first = if first <> swapped then ctx.mu1 else ctx.mu2 in
-  let bind_mu ~swapped ~first v x =
-    if first <> swapped then ctx.mu1 <- (v, x) :: ctx.mu1
-    else ctx.mu2 <- (v, x) :: ctx.mu2
-  in
-  let rec go ~swapped i1 i2 =
-    match i1, i2 with
-    | Top, _ | _, Top -> Top
-    | Lin l1, Lin l2 ->
-        if equal_lin l1 l2 then i1
-        else if ctx.widen then Top
-        else if var_term i1 = None && var_term i2 <> None then
-          (* line 8-9: ensure i1 carries the variable term if either does,
-             swapping the substitution maps accordingly *)
-          go ~swapped:(not swapped) i2 i1
-        else begin
-          match l1.var with
-          | None -> (
-              match to_literal (sub i2 i1) with
-              | Some d -> (
-                  (* lines 11-19: two distinct constants; invent or reuse
-                     the variable unknown that varies with stride d *)
-                  match Ctx.find d ctx.u with
-                  | None ->
-                      let v = Gen.fresh_var ctx.gen in
-                      ctx.u <- (d, v) :: ctx.u;
-                      bind_mu ~swapped ~first:true v i1;
-                      bind_mu ~swapped ~first:false v i2;
-                      of_var_unknown v
-                  | Some v -> (
-                      match Ctx.find v (mu ~swapped ~first:true) with
-                      | Some m1 ->
-                          (* d = i1 - μ1(v) must be variable-free (asserted
-                             in the paper); return v + d *)
-                          let d = sub i1 m1 in
-                          if var_term d = None && not (is_top d) then
-                            add (of_var_unknown v) d
-                          else Top
-                      | None -> Top))
-              | None -> Top)
-          | Some (a1, v1) when a1 <> 0 -> (
-              (* lines 21-31 *)
-              match Ctx.find v1 (mu ~swapped ~first:false) with
-              | Some s ->
-                  if equal (subst_var i1 ~v:v1 ~by:s) i2 then i1 else Top
-              | None -> (
-                  match match_ l1 l2 with
-                  | Some s ->
-                      bind_mu ~swapped ~first:false v1 s;
-                      i1
-                  | None -> Top))
-          | Some _ -> Top
-        end
-  in
-  go ~swapped:false i1 i2
+let rec merge (ctx : Ctx.ctx) (i1 : t) (i2 : t) : t =
+  match i1, i2 with
+  | Top, _ | _, Top -> Top
+  | Lin l1, Lin l2 ->
+      if equal_lin l1 l2 then i1
+      else if ctx.widen then Top
+      else if var_term i1 = None && var_term i2 <> None then
+        (* line 8-9: ensure i1 carries the variable term if either does,
+           swapping the substitution maps accordingly *)
+        merge { ctx with mu1 = ctx.mu2; mu2 = ctx.mu1 } i2 i1
+      else begin
+        let delta = sub i2 i1 in
+        match to_literal delta, var_term i1 with
+        | Some d, None -> (
+            (* lines 11-19: two distinct constants; invent or reuse the
+               variable unknown that varies with stride d *)
+            match Ctx.find_opt ctx.u d with
+            | None ->
+                let v = Gen.fresh_var ctx.gen in
+                Ctx.bind ctx.u d v;
+                Ctx.bind ctx.mu1 v i1;
+                Ctx.bind ctx.mu2 v i2;
+                of_var_unknown v
+            | Some v -> (
+                match Ctx.find_opt ctx.mu1 v with
+                | Some m1 ->
+                    (* d = i1 - μ1(v) must be variable-free (asserted in
+                       the paper); return v + d *)
+                    let d = sub i1 m1 in
+                    if var_term d = None && not (is_top d) then
+                      add (of_var_unknown v) d
+                    else Top
+                | None -> Top))
+        | _, Some (a1, v1) when a1 <> 0 -> (
+            (* lines 21-31 *)
+            match Ctx.find_opt ctx.mu2 v1 with
+            | Some s ->
+                if equal (subst_var i1 ~v:v1 ~by:s) i2 then i1 else Top
+            | None -> (
+                match match_ l1 l2 with
+                | Some s ->
+                    Ctx.bind ctx.mu2 v1 s;
+                    i1
+                | None -> Top))
+        | _, _ -> Top
+      end
 
 (** Merge without stride discovery: equal values survive, anything else is
     ⊤.  Used where the paper's analysis does not thread a merge context

@@ -71,8 +71,8 @@ val subst_var : t -> v:int -> by:t -> t
     merges of every integer state component, so components varying with
     the same stride share one variable unknown ([U], [μ₁], [μ₂] in the
     paper).  [widen] disables invention of new unknowns (termination
-    safety net).  Creating one is cheap: its maps stay empty, and cost
-    nothing, until a merge discovers a stride. *)
+    safety net).  Creating one costs a few words: its maps stay empty
+    until a merge discovers a stride. *)
 module Ctx : sig
   type ctx
 

@@ -428,8 +428,11 @@ let retire_site (s : t) (site : int) : t =
     let subst_aval = function
       | Ref ri as v ->
           let refs = subst_set ri.refs in
-          let nos = Nos.filter (fun (r, _) -> not (Refsym.equal r a_sym)) ri.nos in
-          if refs == ri.refs && nos == ri.nos then v else Ref { ri with refs; nos }
+          let nos =
+            Nos.filter (fun (r, _) -> not (Refsym.equal r a_sym)) ri.nos
+          in
+          if refs == ri.refs && nos == ri.nos then v
+          else Ref { ri with refs; nos }
       | (Bot | Clash | Int _) as v -> v
     in
     let s = map_values subst_aval s in
