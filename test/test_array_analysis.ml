@@ -399,9 +399,9 @@ end
 |}
 
 let test_top_length_same_index_kept () =
+  (* the putstatic (never elided), then both aastores *)
   check "unknown length, same unknown index twice" top_length_probe
     ~meth:"main" [ false; false; false ]
-(* putstatic (never elided), then both aastores kept *)
 
 let test_int_array_stores_have_no_barrier () =
   let compiled =

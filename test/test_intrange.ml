@@ -220,7 +220,6 @@ let test_top_bounds_prove_nothing () =
 
 let unit_tests =
   [
-    ("⊤ bounds prove nothing", test_top_bounds_prove_nothing);
     ("of_new_array", test_new_array);
     ("contract full low end", test_contract_full_low_end);
     ("contract full high end", test_contract_full_high_end);
@@ -249,3 +248,7 @@ let tests =
         prop_merge_flat_equal_or_empty;
         prop_merge_claims_justified_on_both_sides;
       ]
+  @ [
+      Alcotest.test_case "⊤ bounds prove nothing" `Quick
+        test_top_bounds_prove_nothing;
+    ]

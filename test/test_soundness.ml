@@ -74,12 +74,8 @@ let prop_workload_sound c (w : Workloads.Spec.t) ~null_or_same =
    with null-or-same plus summaries, and on the ⊤-length probe of
    Test_array_analysis (whose second store overwrites the first). *)
 let pre_null_sites (w : Workloads.Spec.t) ~null_or_same =
-  let cw =
-    Harness.Exp.compile ~null_or_same ~summaries:null_or_same w
-  in
-  let r =
-    Harness.Exp.run ~gc:(Jrt.Runner.make_satb ()) ~engine:`Interp cw
-  in
+  let cw = Harness.Exp.compile ~null_or_same ~summaries:null_or_same w in
+  let r = Harness.Exp.run ~gc:(Jrt.Runner.make_satb ()) ~engine:`Interp cw in
   Hashtbl.fold
     (fun (site : Jrt.Interp.site) (st : Jrt.Interp.site_stats) acc ->
       match
@@ -128,11 +124,7 @@ let test_pre_null_exact_top_length_probe () =
   ignore (check_pre_null_exact probe ~null_or_same:false)
 
 let tests =
-  Alcotest.test_case "pre-null verdicts exact on every workload" `Quick
-    test_pre_null_exact_workloads
-  :: Alcotest.test_case "pre-null verdicts exact on the ⊤-length probe"
-       `Quick test_pre_null_exact_top_length_probe
-  :: List.map QCheck_alcotest.to_alcotest
+  List.map QCheck_alcotest.to_alcotest
     (List.concat_map
        (fun c ->
          List.concat_map
@@ -144,3 +136,9 @@ let tests =
                (if c.elide then [ false; true ] else [ false ]))
            Workloads.Registry.all)
        collectors)
+  @ [
+      Alcotest.test_case "pre-null verdicts exact on every workload" `Quick
+        test_pre_null_exact_workloads;
+      Alcotest.test_case "pre-null verdicts exact on the ⊤-length probe"
+        `Quick test_pre_null_exact_top_length_probe;
+    ]

@@ -460,6 +460,10 @@ let unit_tests =
     ("merge sigma bottom", test_merge_sigma_missing_is_bottom);
     ("merge nos disjunction", test_merge_nos_survives_via_sigma_null);
     ("kill_nos", test_kill_nos);
+  ]
+
+let sharing_tests =
+  [
     ("merge s s shares s", test_merge_self_is_identity);
     ("subsumed merge shares s1", test_merge_subsumed_is_identity);
     ("⊤-bounded nr still merged", test_merge_top_bounded_nr_still_merges);
@@ -473,10 +477,10 @@ let unit_tests =
 let tests =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests
   @ List.map QCheck_alcotest.to_alcotest
+      [ prop_merge_commutative_refs; prop_merge_upper_bound; prop_escape_monotone ]
+  @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f) sharing_tests
+  @ List.map QCheck_alcotest.to_alcotest
       [
-        prop_merge_commutative_refs;
-        prop_merge_upper_bound;
-        prop_escape_monotone;
         prop_merge_self_shares;
         prop_refsym_compare_is_stdlib_order;
         prop_field_id_compare_is_stdlib_order;
