@@ -112,11 +112,11 @@ let conf_of mode nos md swap summaries debug =
     debug;
   }
 
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-      Fmt.epr "satbelim: %s@." msg;
-      exit 1
+let die msg =
+  Fmt.epr "satbelim: %s@." msg;
+  exit 1
+
+let or_die = function Ok v -> v | Error msg -> die msg
 
 (* telemetry plumbing shared by analyze and run *)
 
@@ -261,19 +261,19 @@ let analyze_cmd =
 
 (* run *)
 
+let gc_kinds =
+  [
+    ("none", `None);
+    ("satb", `Satb);
+    ("incr", `Incr);
+    ("retrace", `Retrace);
+    ("hybrid", `Hybrid);
+  ]
+
 let gc_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("none", `None);
-             ("satb", `Satb);
-             ("incr", `Incr);
-             ("retrace", `Retrace);
-             ("hybrid", `Hybrid);
-           ])
-        `Satb
+    & opt (enum gc_kinds) `Satb
     & info [ "gc" ] ~docv:"GC"
         ~doc:"Collector: none, satb, incr, retrace, or hybrid.")
 
@@ -330,6 +330,16 @@ let pacer_arg =
            (the goal retuned every cycle from pause percentiles and \
            MMU), or fixed (the legacy --gc-trigger allocation count).")
 
+let gc_trigger_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "gc-trigger" ] ~docv:"N"
+        ~doc:
+          "Deprecated fixed-mode alias: start a marking cycle every \
+           $(docv) allocations, bit-for-bit the pre-pacer behaviour.  \
+           Prefer the default heap-growth goal or --heap-goal.")
+
 let engine_arg =
   Arg.(
     value
@@ -345,13 +355,7 @@ let engine_arg =
 
 let pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer :
     Jrt.Pacer.config =
-  let refuse fmt =
-    Fmt.kstr
-      (fun msg ->
-        Fmt.epr "satbelim: %s@." msg;
-        exit 1)
-      fmt
-  in
+  let refuse fmt = Fmt.kstr die fmt in
   (* one warning, in the one path every pacing-aware subcommand funnels
      through, and only when the flag was actually supplied — scripts that
      never pass --gc-trigger never see it *)
@@ -422,160 +426,123 @@ let pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer :
     }
   end
 
-let assumption_to_runtime :
-    Satb_core.Driver.assumption -> Jrt.Interp.assumption = function
-  | Satb_core.Driver.Single_mutator -> Jrt.Interp.Single_mutator
-  | Satb_core.Driver.Retrace_collector -> Jrt.Interp.Retrace_collector
-  | Satb_core.Driver.Descending_scan -> Jrt.Interp.Descending_scan
-  | Satb_core.Driver.Mode_a -> Jrt.Interp.Mode_a
-  | Satb_core.Driver.Closed_world -> Jrt.Interp.Closed_world
+(* Setup shared by run, profile and heap. *)
 
-(* Split verdicts for --gc hybrid: each half of the barrier elides (and
-   revokes) independently, carrying its own guard set. *)
-let half_policy_of ?(no_elim = false) (compiled : Satb_core.Driver.compiled) :
-    Jrt.Interp.half_policy =
- fun c m pc ->
-  if no_elim then Jrt.Interp.keep_both
-  else
-    let key =
-      { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
-    in
-    match Satb_core.Driver.hybrid_verdict compiled key with
-    | `Keep -> Jrt.Interp.keep_both
-    | (`Elide_deletion | `Elide_insertion | `Elide_both) as hv ->
-        let del = hv = `Elide_deletion || hv = `Elide_both in
-        let ins = hv = `Elide_insertion || hv = `Elide_both in
-        {
-          Jrt.Interp.hs_del_elide = del;
-          hs_ins_elide = ins;
-          hs_ins_repair = ins && Satb_core.Driver.ins_repair_needed compiled key;
-          hs_del_guards =
-            (if del then
-               List.map assumption_to_runtime
-                 (Satb_core.Driver.site_assumptions compiled key)
-             else []);
-          hs_ins_guards =
-            (if ins then
-               List.map assumption_to_runtime
-                 (Satb_core.Driver.ins_site_assumptions compiled key)
-             else []);
-        }
+let collector ~pacing = function
+  | `None -> Jrt.Runner.No_gc
+  | `Satb -> Jrt.Runner.make_satb ~pacing ()
+  | `Incr -> Jrt.Runner.make_incr ~pacing ()
+  | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
+  | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
+
+(* Refuse statically-unsound elision/collector combinations, judged
+   against the capabilities of the collector the choice installs (the
+   record {!Jrt.Runner.run}'s startup guards read): swap verdicts need the
+   tracing-state protocol, move-down needs a descending array scan, and
+   both assume a single mutator.  [--gc none] never marks, so every
+   elision is vacuously sound under it.  [--allow-unsound] runs the
+   combination anyway so the snapshot oracle can demonstrate the
+   breakage; [verb] names the subcommand in the refusal. *)
+let refuse_unsound ~verb ~allow_unsound ~swap ~md gc prog =
+  let caps = Jrt.Runner.caps_of_choice gc in
+  let refuse ?(tail = "") why =
+    die (Fmt.str "%s; pass --allow-unsound to %s anyway%s" why verb tail)
+  in
+  if not allow_unsound then begin
+    if swap && not caps.Jrt.Gc_hooks.retrace_protocol then
+      refuse
+        "--swap elision is only sound under a collector with the \
+         tracing-state protocol (--gc retrace)"
+        ~tail:
+          (if verb = "run" then
+             " and let the snapshot oracle report the violations"
+           else "");
+    if md && not caps.Jrt.Gc_hooks.descending_scan then
+      refuse
+        "--move-down elision is only sound under a collector that scans \
+         object arrays in descending index order (--gc satb or --gc \
+         retrace)";
+    if (swap || md) && Satb_core.Analysis.program_spawns prog then
+      refuse
+        "--move-down/--swap elisions assume a single mutator but this \
+         program spawns threads"
+  end
+
+let entry_ref_of_string (entry : string) : Jir.Types.method_ref =
+  match String.index_opt entry '.' with
+  | Some i ->
+      {
+        Jir.Types.mclass = String.sub entry 0 i;
+        mname = String.sub entry (i + 1) (String.length entry - i - 1);
+      }
+  | None -> die "entry must be Class.method"
+
+(* FILE or --workload NAME: the report name, program and entry point *)
+let resolve_target file workload entry =
+  match (file, workload) with
+  | Some _, Some _ -> die "pass either FILE or --workload, not both"
+  | None, None ->
+      die "pass a FILE or --workload NAME (try 'workloads' for the list)"
+  | Some f, None ->
+      ( Filename.remove_extension (Filename.basename f),
+        or_die (load f),
+        entry_ref_of_string entry )
+  | None, Some n -> (
+      match Workloads.Registry.find n with
+      | Some w -> (w.name, Workloads.Spec.parse w, w.entry)
+      | None -> die (Fmt.str "unknown workload %S (try 'workloads')" n))
+
+let file_opt_arg =
+  Arg.(
+    value
+    & pos 0 (some file) None
+    & info [] ~docv:"FILE"
+        ~doc:"jasm or mini-Java source file (or use --workload).")
+
+let workload_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
+
+(* Run [f] with the telemetry outputs open and flight auto-capture armed:
+   oracle violations, hard stops and anomaly firings dump the flight
+   recorder to a stable path (armed only on CLI/bench entry points, so
+   `dune runtest`'s negative soundness runs don't spray dump files).
+   Then print the capture notice and exit with [f]'s code. *)
+let with_capture ~trace ~metrics ~chrome f =
+  Flight.arm_capture ();
+  let code = with_telemetry ~trace ~metrics ~chrome f in
+  (* the sink was flushed and closed by with_telemetry; only now is it
+     safe to exit (Stdlib.exit does not unwind Fun.protect) *)
+  (match Flight.captured () with
+  | Some (path, reason) ->
+      Fmt.epr "satbelim: flight recorder dumped to %s (%s)@." path reason
+  | None -> ());
+  if code <> 0 then exit code
+
+let print_thread_errors (r : Jrt.Runner.report) =
+  List.iter
+    (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e)
+    r.Jrt.Runner.thread_errors
 
 let run_cmd =
   let run file limit mode nos md swap summaries gc engine entry no_elim
       chaos_seed retrace_budget no_revoke allow_unsound gc_trigger heap_goal
       soft_limit hard_limit pacer trace metrics chrome flight_dump =
     let prog = or_die (load file) in
-    let pacing =
-      pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer
-    in
     let gc_choice =
-      match gc with
-      | `None -> Jrt.Runner.No_gc
-      | `Satb -> Jrt.Runner.make_satb ~pacing ()
-      | `Incr -> Jrt.Runner.make_incr ~pacing ()
-      | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
-      | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
+      collector gc
+        ~pacing:
+          (pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer)
     in
-    (* Refuse statically-unsound elision/collector combinations, judged
-       against the capabilities of the collector the choice installs (the
-       record {!Jrt.Runner.run}'s startup guards read): swap verdicts need the tracing-state protocol, move-down
-       needs a descending array scan, and both assume a single mutator.
-       [--gc none] never marks, so every elision is vacuously sound under
-       it.  [--allow-unsound] runs the combination anyway so the snapshot
-       oracle can demonstrate the breakage. *)
-    let caps = Jrt.Runner.caps_of_choice gc_choice in
-    if not allow_unsound then begin
-      if swap && not caps.Jrt.Gc_hooks.retrace_protocol then begin
-        Fmt.epr
-          "satbelim: --swap elision is only sound under a collector with \
-           the tracing-state protocol (--gc retrace); pass --allow-unsound \
-           to run anyway and let the snapshot oracle report the \
-           violations@.";
-        exit 1
-      end;
-      if md && not caps.Jrt.Gc_hooks.descending_scan then begin
-        Fmt.epr
-          "satbelim: --move-down elision is only sound under a collector \
-           that scans object arrays in descending index order (--gc satb \
-           or --gc retrace); pass --allow-unsound to run anyway@.";
-        exit 1
-      end;
-      if (swap || md) && Satb_core.Analysis.program_spawns prog then begin
-        Fmt.epr
-          "satbelim: --move-down/--swap elisions assume a single mutator \
-           but this program spawns threads; pass --allow-unsound to run \
-           anyway@.";
-        exit 1
-      end
-    end;
-    (* auto-capture: oracle violations, hard stops and anomaly firings
-       dump the flight recorder to a stable path (armed only on CLI/bench
-       entry points, so `dune runtest`'s negative soundness runs don't
-       spray dump files) *)
-    Flight.arm_capture ();
-    let code =
-      with_telemetry ~trace ~metrics ~chrome @@ fun () ->
+    refuse_unsound ~verb:"run" ~allow_unsound ~swap ~md gc_choice prog;
+    with_capture ~trace ~metrics ~chrome @@ fun () ->
     let compiled =
       Satb_core.Driver.compile ~inline_limit:limit
         ~conf:(conf_of mode nos md swap summaries false) prog
     in
-    let policy c m pc =
-      (not no_elim)
-      && not
-           (Satb_core.Driver.needs_barrier compiled
-              { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let retrace c m pc =
-      if no_elim then Jrt.Interp.No_check
-      else
-        match
-          Satb_core.Driver.retrace_check compiled
-            { sk_class = c; sk_method = m; sk_pc = pc }
-        with
-        | `Open -> Jrt.Interp.Check_open
-        | `Close -> Jrt.Interp.Check_close
-        | `None -> Jrt.Interp.No_check
-    in
-    let guards c m pc =
-      if no_elim then []
-      else
-        List.map assumption_to_runtime
-          (Satb_core.Driver.site_assumptions compiled
-             { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let entry_ref =
-      match String.index_opt entry '.' with
-      | Some i ->
-          {
-            Jir.Types.mclass = String.sub entry 0 i;
-            mname = String.sub entry (i + 1) (String.length entry - i - 1);
-          }
-      | None ->
-          Fmt.epr "satbelim: entry must be Class.method@.";
-          exit 1
-    in
-    (* revocation events name the original justification of the site
-       they patch *)
-    let explain c m pc =
-      Satb_core.Driver.justification compiled
-        { sk_class = c; sk_method = m; sk_pc = pc }
-    in
-    let halves = half_policy_of ~no_elim compiled in
+    let entry_ref = entry_ref_of_string entry in
     let cfg =
-      {
-        Jrt.Interp.default_config with
-        policy;
-        retrace;
-        guards;
-        explain;
-        revoke = not no_revoke;
-        barrier_flavor =
-          (if gc = `Hybrid then `Hybrid
-           else Jrt.Interp.default_config.barrier_flavor);
-        halves =
-          (if gc = `Hybrid then halves else Jrt.Interp.no_halves);
-      }
+      Harness.Exp.config ~elide:(not no_elim) ~guards:true
+        ~revoke:(not no_revoke) ~gc:gc_choice compiled
     in
     let chaos =
       Option.map
@@ -648,9 +615,7 @@ let run_cmd =
           s.Jrt.Chaos.class_loads s.Jrt.Chaos.spike_allocs
           s.Jrt.Chaos.ramp_allocs
     | None -> ());
-    List.iter
-      (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e)
-      r.thread_errors;
+    print_thread_errors r;
     (match flight_dump with
     | Some path ->
         Flight.dump_to_file ~reason:"cli-request" path;
@@ -661,14 +626,6 @@ let run_cmd =
         Fmt.epr "satbelim: hard heap limit: %s@." msg;
         4
     | None -> 0
-    in
-    (* the sink was flushed and closed by with_telemetry; only now is it
-       safe to exit (Stdlib.exit does not unwind Fun.protect) *)
-    (match Flight.captured () with
-    | Some (path, reason) ->
-        Fmt.epr "satbelim: flight recorder dumped to %s (%s)@." path reason
-    | None -> ());
-    if code <> 0 then exit code
   in
   let no_elim =
     Arg.(value & flag & info [ "no-elim" ] ~doc:"Keep every barrier.")
@@ -717,16 +674,6 @@ let run_cmd =
             "Run elision/collector combinations that are known to be \
              unsound so the snapshot oracle can demonstrate the breakage.")
   in
-  let gc_trigger_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-trigger" ] ~docv:"N"
-          ~doc:
-            "Deprecated fixed-mode alias: start a marking cycle every \
-             $(docv) allocations, bit-for-bit the pre-pacer behaviour.  \
-             Prefer the default heap-growth goal or --heap-goal.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Interpret the program with barrier instrumentation")
     Term.(
@@ -739,137 +686,39 @@ let run_cmd =
 
 (* profile *)
 
-let entry_ref_of_string (entry : string) : Jir.Types.method_ref =
-  match String.index_opt entry '.' with
-  | Some i ->
-      {
-        Jir.Types.mclass = String.sub entry 0 i;
-        mname = String.sub entry (i + 1) (String.length entry - i - 1);
-      }
-  | None ->
-      Fmt.epr "satbelim: entry must be Class.method@.";
-      exit 1
-
 let profile_cmd =
   let run file workload limit mode nos md swap summaries gc engine gc_trigger
       heap_goal soft_limit hard_limit pacer entry json top baseline
       max_elision_drop max_pause_increase max_cost_increase allow_unsound
       trace metrics chrome =
-    let name, prog, entry_ref =
-      match (file, workload) with
-      | Some _, Some _ ->
-          Fmt.epr "satbelim: pass either FILE or --workload, not both@.";
-          exit 1
-      | None, None ->
-          Fmt.epr
-            "satbelim: pass a FILE or --workload NAME (try 'workloads' for \
-             the list)@.";
-          exit 1
-      | Some f, None ->
-          ( Filename.remove_extension (Filename.basename f),
-            or_die (load f),
-            entry_ref_of_string entry )
-      | None, Some n -> (
-          match Workloads.Registry.find n with
-          | Some w -> (w.name, Workloads.Spec.parse w, w.entry)
-          | None ->
-              Fmt.epr "satbelim: unknown workload %S (try 'workloads')@." n;
-              exit 1)
+    let name, prog, entry_ref = resolve_target file workload entry in
+    let gc_choice =
+      collector gc
+        ~pacing:
+          (pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer)
     in
-    let pacing =
-      pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer
-    in
-    let gc_name, gc_choice =
-      match gc with
-      | `None -> ("none", Jrt.Runner.No_gc)
-      | `Satb -> ("satb", Jrt.Runner.make_satb ~pacing ())
-      | `Incr -> ("incr", Jrt.Runner.make_incr ~pacing ())
-      | `Retrace -> ("retrace", Jrt.Runner.make_retrace ~pacing ())
-      | `Hybrid -> ("hybrid", Jrt.Runner.make_hybrid ~pacing ())
-    in
-    (* same capability-driven static-soundness refusals as `run` *)
-    let caps = Jrt.Runner.caps_of_choice gc_choice in
-    if not allow_unsound then begin
-      if swap && not caps.Jrt.Gc_hooks.retrace_protocol then begin
-        Fmt.epr
-          "satbelim: --swap elision is only sound under a collector with \
-           the tracing-state protocol (--gc retrace); pass --allow-unsound \
-           to profile anyway@.";
-        exit 1
-      end;
-      if md && not caps.Jrt.Gc_hooks.descending_scan then begin
-        Fmt.epr
-          "satbelim: --move-down elision is only sound under a collector \
-           that scans object arrays in descending index order (--gc satb \
-           or --gc retrace); pass --allow-unsound to profile anyway@.";
-        exit 1
-      end;
-      if (swap || md) && Satb_core.Analysis.program_spawns prog then begin
-        Fmt.epr
-          "satbelim: --move-down/--swap elisions assume a single mutator \
-           but this program spawns threads; pass --allow-unsound to profile \
-           anyway@.";
-        exit 1
-      end
-    end;
-    Flight.arm_capture ();
-    let code =
-      with_telemetry ~trace ~metrics ~chrome @@ fun () ->
+    refuse_unsound ~verb:"profile" ~allow_unsound ~swap ~md gc_choice prog;
+    with_capture ~trace ~metrics ~chrome @@ fun () ->
     let compiled =
       Satb_core.Driver.compile ~inline_limit:limit
         ~conf:(conf_of mode nos md swap summaries false) prog
     in
-    let policy c m pc =
-      not
-        (Satb_core.Driver.needs_barrier compiled
-           { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let retrace c m pc =
-      match
-        Satb_core.Driver.retrace_check compiled
-          { sk_class = c; sk_method = m; sk_pc = pc }
-      with
-      | `Open -> Jrt.Interp.Check_open
-      | `Close -> Jrt.Interp.Check_close
-      | `None -> Jrt.Interp.No_check
-    in
-    let guards c m pc =
-      List.map assumption_to_runtime
-        (Satb_core.Driver.site_assumptions compiled
-           { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let explain c m pc =
-      Satb_core.Driver.justification compiled
-        { sk_class = c; sk_method = m; sk_pc = pc }
-    in
-    let cfg =
-      {
-        Jrt.Interp.default_config with
-        policy;
-        retrace;
-        guards;
-        explain;
-        barrier_flavor =
-          (if gc = `Hybrid then `Hybrid
-           else Jrt.Interp.default_config.barrier_flavor);
-        halves =
-          (if gc = `Hybrid then half_policy_of compiled
-           else Jrt.Interp.no_halves);
-      }
-    in
+    let cfg = Harness.Exp.config ~guards:true ~gc:gc_choice compiled in
     let r =
       Jrt.Runner.run ~cfg ~gc:gc_choice ~engine compiled.program
         ~entry:entry_ref
     in
-    List.iter
-      (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e)
-      r.thread_errors;
+    print_thread_errors r;
     match r.hard_stop with
     | Some msg ->
         Fmt.epr "satbelim: hard heap limit: %s@." msg;
         4
     | None -> (
-        let p = Profile.Attr.of_report ~workload:name ~gc:gc_name ~explain r in
+        let gc_name = fst (List.find (fun (_, g) -> g = gc) gc_kinds) in
+        let p =
+          Profile.Attr.of_report ~workload:name ~gc:gc_name
+            ~explain:cfg.Jrt.Interp.explain r
+        in
         (* the profile must reconcile exactly with the interpreter's global
            counters (also what --metrics reports); a mismatch is a bug in the
            attribution accounting, not in the user's input *)
@@ -920,36 +769,6 @@ let profile_cmd =
                       Fmt.pr "OK: no regressions@.";
                       0
                     end)))
-    in
-    (match Flight.captured () with
-    | Some (path, reason) ->
-        Fmt.epr "satbelim: flight recorder dumped to %s (%s)@." path reason
-    | None -> ());
-    if code <> 0 then exit code
-  in
-  let file_opt_arg =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"jasm or mini-Java source file (or use --workload).")
-  in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Profile a bundled workload instead of a source file.")
-  in
-  let gc_trigger_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-trigger" ] ~docv:"N"
-          ~doc:
-            "Deprecated fixed-mode alias: start a marking cycle every \
-             $(docv) allocations, bit-for-bit the pre-pacer behaviour.  \
-             Prefer the default heap-growth goal or --heap-goal.")
   in
   let json_arg =
     Arg.(
@@ -1015,8 +834,9 @@ let profile_cmd =
          "Run a workload and report per-site barrier attribution, pause \
           percentiles and MMU; optionally gate against a baseline profile")
     Term.(
-      const run $ file_opt_arg $ workload_arg $ inline_limit_arg $ mode_arg
-      $ nos_arg $ movedown_arg $ swap_arg $ summaries_arg $ gc_arg
+      const run $ file_opt_arg
+      $ workload_arg ~doc:"Profile a bundled workload instead of a source file."
+      $ inline_limit_arg $ mode_arg $ nos_arg $ movedown_arg $ swap_arg $ summaries_arg $ gc_arg
       $ engine_arg $ gc_trigger_arg $ heap_goal_arg $ soft_limit_arg
       $ hard_limit_arg
       $ pacer_arg $ entry_arg $ json_arg $ top_arg $ baseline_arg
@@ -1185,164 +1005,82 @@ let heap_report_term =
   let run file workload limit mode nos summaries gc engine heap_goal
       soft_limit hard_limit pacer entry top snapshot flight_dump trace metrics
       chrome =
-    let name, prog, entry_ref =
-      match (file, workload) with
-      | Some _, Some _ ->
-          Fmt.epr "satbelim: pass either FILE or --workload, not both@.";
-          exit 1
-      | None, None ->
-          Fmt.epr
-            "satbelim: pass a FILE or --workload NAME (try 'workloads' for \
-             the list)@.";
-          exit 1
-      | Some f, None ->
-          ( Filename.remove_extension (Filename.basename f),
-            or_die (load f),
-            entry_ref_of_string entry )
-      | None, Some n -> (
-          match Workloads.Registry.find n with
-          | Some w -> (w.name, Workloads.Spec.parse w, w.entry)
-          | None ->
-              Fmt.epr "satbelim: unknown workload %S (try 'workloads')@." n;
-              exit 1)
-    in
+    let name, prog, entry_ref = resolve_target file workload entry in
     let pacing =
       (* `Satb stands in for "some collector": the observatory refuses
          --gc none itself, so pacing flags are always meaningful here *)
       pacing_of ~gc:`Satb ~gc_trigger:None ~heap_goal ~soft_limit ~hard_limit
         ~pacer
     in
-    Flight.arm_capture ();
-    let code =
-      with_telemetry ~trace ~metrics ~chrome @@ fun () ->
-      let compiled =
-        Satb_core.Driver.compile ~inline_limit:limit
-          ~conf:(conf_of mode nos false false summaries false)
-          prog
-      in
-      let policy c m pc =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc })
-      in
-      let retrace c m pc =
-        match
-          Satb_core.Driver.retrace_check compiled
-            { sk_class = c; sk_method = m; sk_pc = pc }
-        with
-        | `Open -> Jrt.Interp.Check_open
-        | `Close -> Jrt.Interp.Check_close
-        | `None -> Jrt.Interp.No_check
-      in
-      let guards c m pc =
-        List.map assumption_to_runtime
-          (Satb_core.Driver.site_assumptions compiled
-             { sk_class = c; sk_method = m; sk_pc = pc })
-      in
-      let run_one gcv =
-        let gc_choice =
-          match gcv with
-          | `Satb -> Jrt.Runner.make_satb ~pacing ()
-          | `Incr -> Jrt.Runner.make_incr ~pacing ()
-          | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
-          | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
-        in
-        let cfg =
-          {
-            Jrt.Interp.default_config with
-            policy;
-            retrace;
-            guards;
-            barrier_flavor =
-              (if gcv = `Hybrid then `Hybrid
-               else Jrt.Interp.default_config.barrier_flavor);
-            halves =
-              (if gcv = `Hybrid then half_policy_of compiled
-               else Jrt.Interp.no_halves);
-          }
-        in
-        let obs = Heapscope.Observatory.create () in
-        let r =
-          Jrt.Runner.run ~cfg ~gc:gc_choice ~engine
-            ~observer:(Heapscope.Observatory.observe obs)
-            compiled.program ~entry:entry_ref
-        in
-        List.iter
-          (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e)
-          r.Jrt.Runner.thread_errors;
-        (obs, r)
-      in
-      let label = function
-        | `Satb -> "satb"
-        | `Incr -> "incremental-update"
-        | `Retrace -> "retrace"
-        | `Hybrid -> "hybrid"
-      in
-      let collectors =
-        match gc with
-        | `All -> [ `Satb; `Incr; `Retrace; `Hybrid ]
-        | (`Satb | `Incr | `Retrace | `Hybrid) as g -> [ g ]
-      in
-      let results = List.map (fun g -> (g, run_one g)) collectors in
-      (* the ring is reset per run, so the dump covers the last collector
-         observed — with census events and the pending-census snapshot *)
-      (match flight_dump with
-      | Some path ->
-          Flight.dump_to_file ~reason:"cli-request" path;
-          Fmt.pr "wrote %s@." path
-      | None -> ());
-      let g0, (obs0, r0) = List.hd results in
-      let m0 = r0.Jrt.Runner.machine in
-      let h0 = m0.Jrt.Interp.heap in
-      Fmt.pr "workload %s — heap observatory@." name;
-      Fmt.pr
-        "final heap under %s: %d live objects, %d units, %d GC cycles@.@."
-        (label g0) h0.Jrt.Heap.live_count h0.Jrt.Heap.live_units
-        h0.Jrt.Heap.gc_cycle;
-      Fmt.pr "allocation-site census (%s):@." (label g0);
-      print_string
-        (Heapscope.Observatory.render_census ~top
-           (Heapscope.Census.of_heap h0));
-      Fmt.pr "@.dominator retention (%s):@." (label g0);
-      print_string (Heapscope.Observatory.render_retainers ~top m0);
-      List.iter
-        (fun (g, ((obs : Heapscope.Observatory.t), (r : Jrt.Runner.report))) ->
-          Fmt.pr "@.barrier float — %s:@." (label g);
-          print_string (Heapscope.Observatory.render_float obs);
-          match r.Jrt.Runner.hard_stop with
-          | Some msg -> Fmt.pr "  (run aborted on hard heap limit: %s)@." msg
-          | None -> ())
-        results;
-      Option.iter
-        (fun path ->
-          Telemetry.write_file path
-            (Telemetry.json_to_string_pretty
-               (Heapscope.Observatory.snapshot obs0 m0));
-          Fmt.pr "@.wrote %s@." path)
-        snapshot;
-      if List.exists (fun (_, (_, r)) -> r.Jrt.Runner.hard_stop <> None) results
-      then 4
-      else 0
+    with_capture ~trace ~metrics ~chrome @@ fun () ->
+    let compiled =
+      Satb_core.Driver.compile ~inline_limit:limit
+        ~conf:(conf_of mode nos false false summaries false)
+        prog
     in
-    (match Flight.captured () with
-    | Some (path, reason) ->
-        Fmt.epr "satbelim: flight recorder dumped to %s (%s)@." path reason
+    let run_one gcv =
+      let gc_choice = collector ~pacing gcv in
+      let cfg = Harness.Exp.config ~guards:true ~gc:gc_choice compiled in
+      let obs = Heapscope.Observatory.create () in
+      let r =
+        Jrt.Runner.run ~cfg ~gc:gc_choice ~engine
+          ~observer:(Heapscope.Observatory.observe obs)
+          compiled.program ~entry:entry_ref
+      in
+      print_thread_errors r;
+      (obs, r)
+    in
+    let label = function
+      | `Satb -> "satb"
+      | `Incr -> "incremental-update"
+      | `Retrace -> "retrace"
+      | `Hybrid -> "hybrid"
+    in
+    let collectors =
+      match gc with
+      | `All -> [ `Satb; `Incr; `Retrace; `Hybrid ]
+      | (`Satb | `Incr | `Retrace | `Hybrid) as g -> [ g ]
+    in
+    let results = List.map (fun g -> (g, run_one g)) collectors in
+    (* the ring is reset per run, so the dump covers the last collector
+       observed — with census events and the pending-census snapshot *)
+    (match flight_dump with
+    | Some path ->
+        Flight.dump_to_file ~reason:"cli-request" path;
+        Fmt.pr "wrote %s@." path
     | None -> ());
-    if code <> 0 then exit code
-  in
-  let file_opt_arg =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"jasm or mini-Java source file (or use --workload).")
-  in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Observe a bundled workload instead of a source file.")
+    let g0, (obs0, r0) = List.hd results in
+    let m0 = r0.Jrt.Runner.machine in
+    let h0 = m0.Jrt.Interp.heap in
+    Fmt.pr "workload %s — heap observatory@." name;
+    Fmt.pr
+      "final heap under %s: %d live objects, %d units, %d GC cycles@.@."
+      (label g0) h0.Jrt.Heap.live_count h0.Jrt.Heap.live_units
+      h0.Jrt.Heap.gc_cycle;
+    Fmt.pr "allocation-site census (%s):@." (label g0);
+    print_string
+      (Heapscope.Observatory.render_census ~top
+         (Heapscope.Census.of_heap h0));
+    Fmt.pr "@.dominator retention (%s):@." (label g0);
+    print_string (Heapscope.Observatory.render_retainers ~top m0);
+    List.iter
+      (fun (g, ((obs : Heapscope.Observatory.t), (r : Jrt.Runner.report))) ->
+        Fmt.pr "@.barrier float — %s:@." (label g);
+        print_string (Heapscope.Observatory.render_float obs);
+        match r.Jrt.Runner.hard_stop with
+        | Some msg -> Fmt.pr "  (run aborted on hard heap limit: %s)@." msg
+        | None -> ())
+      results;
+    Option.iter
+      (fun path ->
+        Telemetry.write_file path
+          (Telemetry.json_to_string_pretty
+             (Heapscope.Observatory.snapshot obs0 m0));
+        Fmt.pr "@.wrote %s@." path)
+      snapshot;
+    if List.exists (fun (_, (_, r)) -> r.Jrt.Runner.hard_stop <> None) results
+    then 4
+    else 0
   in
   let heap_gc_arg =
     Arg.(
@@ -1392,8 +1130,9 @@ let heap_report_term =
              with live units and float%.")
   in
   Term.(
-    const run $ file_opt_arg $ workload_arg $ inline_limit_arg $ mode_arg
-    $ nos_arg $ summaries_arg $ heap_gc_arg $ engine_arg $ heap_goal_arg
+    const run $ file_opt_arg
+    $ workload_arg ~doc:"Observe a bundled workload instead of a source file."
+    $ inline_limit_arg $ mode_arg $ nos_arg $ summaries_arg $ heap_gc_arg $ engine_arg $ heap_goal_arg
     $ soft_limit_arg $ hard_limit_arg $ pacer_arg $ entry_arg $ top_arg
     $ snapshot_arg $ flight_dump_arg $ trace_arg $ metrics_arg $ chrome_arg)
 

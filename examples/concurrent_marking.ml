@@ -13,13 +13,13 @@
 
    Run with: dune exec examples/concurrent_marking.exe *)
 
+let gc = Jrt.Runner.make_satb ~trigger_allocs:32 ~steps_per_increment:8 ()
+
 let run_jess ~policy_name ~(policy : Jrt.Interp.barrier_policy) =
   let cw = Harness.Exp.compile Workloads.Jess.t in
   let cfg = { Jrt.Interp.default_config with policy } in
   let report =
-    Jrt.Runner.run ~cfg
-      ~gc:(Jrt.Runner.make_satb ~trigger_allocs:32 ~steps_per_increment:8 ())
-      cw.compiled.program ~entry:Workloads.Jess.t.entry
+    Jrt.Runner.run ~cfg ~gc cw.compiled.program ~entry:Workloads.Jess.t.entry
   in
   match report.gc with
   | Some g ->
@@ -32,7 +32,8 @@ let run_jess ~policy_name ~(policy : Jrt.Interp.barrier_policy) =
 let () =
   let cw = Harness.Exp.compile Workloads.Jess.t in
   run_jess ~policy_name:"keep-all" ~policy:Jrt.Interp.keep_all_policy;
-  run_jess ~policy_name:"analysis-directed" ~policy:(Harness.Exp.policy_of cw);
+  run_jess ~policy_name:"analysis-directed"
+    ~policy:(Harness.Exp.config ~gc cw.compiled).policy;
   Fmt.pr "@.Now removing EVERY barrier (unsound for SATB):@.";
   run_jess ~policy_name:"elide-all (unsound)" ~policy:(fun _ _ _ -> true);
   Fmt.pr

@@ -73,16 +73,10 @@ let () =
         r.verdicts)
     compiled.results;
   (* 2. run under the SATB collector with the verdicts as elision policy *)
-  let policy c m pc =
-    not
-      (Satb_core.Driver.needs_barrier compiled
-         { sk_class = c; sk_method = m; sk_pc = pc })
-  in
-  let cfg = { Jrt.Interp.default_config with policy } in
+  let gc = Jrt.Runner.make_satb ~trigger_allocs:4 () in
+  let cfg = Harness.Exp.config ~gc compiled in
   let report =
-    Jrt.Runner.run ~cfg
-      ~gc:(Jrt.Runner.make_satb ~trigger_allocs:4 ())
-      compiled.program
+    Jrt.Runner.run ~cfg ~gc compiled.program
       ~entry:{ mclass = "Main"; mname = "main" }
   in
   Fmt.pr "@.%a@." Jrt.Interp.pp_dyn_stats report.dyn;

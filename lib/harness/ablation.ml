@@ -47,21 +47,6 @@ let measure_one (w : Workloads.Spec.t) : row =
     let compiled =
       Satb_core.Driver.compile ~inline_limit:100 ~conf:(conf_of variant) prog
     in
-    let policy c m pc =
-      not
-        (Satb_core.Driver.needs_barrier compiled
-           { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let retrace c m pc =
-      match
-        Satb_core.Driver.retrace_check compiled
-          { sk_class = c; sk_method = m; sk_pc = pc }
-      with
-      | `Open -> Jrt.Interp.Check_open
-      | `Close -> Jrt.Interp.Check_close
-      | `None -> Jrt.Interp.No_check
-    in
-    let cfg = { Jrt.Interp.default_config with policy; retrace } in
     (* The swap elision is only sound under the retrace collector. *)
     let gc =
       match variant with
@@ -69,6 +54,7 @@ let measure_one (w : Workloads.Spec.t) : row =
       | Full | One_name | No_stride | Field_only ->
           Jrt.Runner.make_satb ~trigger_allocs:24 ()
     in
+    let cfg = Exp.config ~gc compiled in
     let r = Jrt.Runner.run ~cfg ~gc compiled.program ~entry:w.entry in
     (match r.gc with
     | Some g when g.total_violations > 0 ->

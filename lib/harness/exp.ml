@@ -22,20 +22,18 @@ let compile ?(inline_limit = 100) ?(mode = Satb_core.Analysis.A)
   in
   { workload = w; compiled = Satb_core.Driver.compile ~inline_limit ~conf prog }
 
-(** Barrier policy from the analysis verdicts. *)
-let policy_of (cw : compiled_workload) : Jrt.Interp.barrier_policy =
- fun c m pc ->
-  not
-    (Satb_core.Driver.needs_barrier cw.compiled
-       { sk_class = c; sk_method = m; sk_pc = pc })
+(* The verdict -> runtime bridge: every [Jrt.Interp.config] built from
+   a [Driver.compiled] comes from {!config} below. *)
 
-(** Tracing-state-check sites from the analysis verdicts (swap pairs). *)
-let retrace_policy_of (cw : compiled_workload) : Jrt.Interp.retrace_policy =
+let site_key c m pc = { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
+
+let policy_of compiled : Jrt.Interp.barrier_policy =
+ fun c m pc -> not (Satb_core.Driver.needs_barrier compiled (site_key c m pc))
+
+(* tracing-state-check sites (swap pairs) *)
+let retrace_policy_of compiled : Jrt.Interp.retrace_policy =
  fun c m pc ->
-  match
-    Satb_core.Driver.retrace_check cw.compiled
-      { sk_class = c; sk_method = m; sk_pc = pc }
-  with
+  match Satb_core.Driver.retrace_check compiled (site_key c m pc) with
   | `Open -> Jrt.Interp.Check_open
   | `Close -> Jrt.Interp.Check_close
   | `None -> Jrt.Interp.No_check
@@ -48,23 +46,16 @@ let assumption_to_runtime :
   | Satb_core.Driver.Mode_a -> Jrt.Interp.Mode_a
   | Satb_core.Driver.Closed_world -> Jrt.Interp.Closed_world
 
-(** The per-site guard table from the compiler's assumption metadata. *)
-let guard_policy_of (cw : compiled_workload) : Jrt.Interp.guard_policy =
+let guard_policy_of compiled : Jrt.Interp.guard_policy =
  fun c m pc ->
   List.map assumption_to_runtime
-    (Satb_core.Driver.site_assumptions cw.compiled
-       { sk_class = c; sk_method = m; sk_pc = pc })
+    (Satb_core.Driver.site_assumptions compiled (site_key c m pc))
 
-(** Per-site split verdicts for the hybrid (deletion + insertion)
-    barrier, from the compiler's half-verdict tables.  Each half carries
-    its own guard set so revocation can restore one half while the other
-    stays elided. *)
-let half_policy_of (cw : compiled_workload) : Jrt.Interp.half_policy =
+let half_policy_of (compiled : Satb_core.Driver.compiled) :
+    Jrt.Interp.half_policy =
  fun c m pc ->
-  let key =
-    { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
-  in
-  match Satb_core.Driver.hybrid_verdict cw.compiled key with
+  let key = site_key c m pc in
+  match Satb_core.Driver.hybrid_verdict compiled key with
   | `Keep -> Jrt.Interp.keep_both
   | (`Elide_deletion | `Elide_insertion | `Elide_both) as hv ->
       let del = hv = `Elide_deletion || hv = `Elide_both in
@@ -72,26 +63,43 @@ let half_policy_of (cw : compiled_workload) : Jrt.Interp.half_policy =
       {
         Jrt.Interp.hs_del_elide = del;
         hs_ins_elide = ins;
-        hs_ins_repair =
-          ins && Satb_core.Driver.ins_repair_needed cw.compiled key;
+        hs_ins_repair = ins && Satb_core.Driver.ins_repair_needed compiled key;
         hs_del_guards =
           (if del then
              List.map assumption_to_runtime
-               (Satb_core.Driver.site_assumptions cw.compiled key)
+               (Satb_core.Driver.site_assumptions compiled key)
            else []);
         hs_ins_guards =
           (if ins then
              List.map assumption_to_runtime
-               (Satb_core.Driver.ins_site_assumptions cw.compiled key)
+               (Satb_core.Driver.ins_site_assumptions compiled key)
            else []);
       }
 
-(** Elision provenance, so runtime revocation events can name the
-    original justification of each site they patch. *)
-let explain_policy_of (cw : compiled_workload) : Jrt.Interp.explain_policy =
- fun c m pc ->
-  Satb_core.Driver.justification cw.compiled
-    { sk_class = c; sk_method = m; sk_pc = pc }
+let explain_policy_of (compiled : Satb_core.Driver.compiled) :
+    Jrt.Interp.explain_policy =
+ fun c m pc -> Satb_core.Driver.justification compiled (site_key c m pc)
+
+let config ?(elide = true) ?(guards = false) ?(revoke = true)
+    ?(satb_mode = Jrt.Barrier_cost.Conditional) ~gc
+    (compiled : Satb_core.Driver.compiled) : Jrt.Interp.config =
+  let hybrid = match gc with Jrt.Runner.Hybrid _ -> true | _ -> false in
+  {
+    Jrt.Interp.default_config with
+    policy = (if elide then policy_of compiled else Jrt.Interp.keep_all_policy);
+    retrace =
+      (if elide then retrace_policy_of compiled
+       else Jrt.Interp.no_retrace_checks);
+    halves =
+      (if elide && hybrid then half_policy_of compiled
+       else Jrt.Interp.no_halves);
+    barrier_flavor = (if hybrid then `Hybrid else `Satb);
+    guards = (if guards then guard_policy_of compiled else Jrt.Interp.no_guards);
+    explain =
+      (if guards then explain_policy_of compiled else Jrt.Interp.no_explain);
+    revoke;
+    satb_mode;
+  }
 
 (** Session-wide default execution engine, so `bench --engine threaded`
     (and the CI both-engines tier-1 lever) can retarget every experiment
@@ -109,50 +117,11 @@ let run ?(gc = Jrt.Runner.No_gc) ?(satb_mode = Jrt.Barrier_cost.Conditional)
     ?retrace_budget ?(fail_on_thread_error = true) ?(seed = 0) ?quantum
     ?gc_period ?engine ?observer (cw : compiled_workload) : Jrt.Runner.report =
   let engine = match engine with Some e -> e | None -> !default_engine in
-  let policy =
-    if use_policy then policy_of cw else Jrt.Interp.keep_all_policy
-  in
-  let retrace =
-    if use_policy then retrace_policy_of cw else Jrt.Interp.no_retrace_checks
-  in
-  (* The hybrid collector switches the interpreter to the split-verdict
-     barrier; the half policy carries each half's guards itself. *)
-  let barrier_flavor =
-    match gc with
-    | Jrt.Runner.Hybrid _ -> `Hybrid
-    | _ -> Jrt.Interp.default_config.barrier_flavor
-  in
-  let halves =
-    match gc with
-    | Jrt.Runner.Hybrid _ when use_policy -> half_policy_of cw
-    | _ -> Jrt.Interp.no_halves
-  in
   (* Guards are opt-in: several negative soundness tests deliberately run
      unsound policy/collector combinations to show the oracle catching
      them, which wired guards would (correctly) neutralize. *)
   let cfg =
-    if guards then
-      {
-        Jrt.Interp.default_config with
-        policy;
-        satb_mode;
-        retrace;
-        barrier_flavor;
-        halves;
-        guards = guard_policy_of cw;
-        explain = explain_policy_of cw;
-        revoke;
-      }
-    else
-      {
-        Jrt.Interp.default_config with
-        policy;
-        satb_mode;
-        retrace;
-        barrier_flavor;
-        halves;
-        revoke;
-      }
+    config ~elide:use_policy ~guards ~revoke ~satb_mode ~gc cw.compiled
   in
   let report =
     Jrt.Runner.run ~cfg ~gc ~engine ~seed ?quantum ?gc_period ?chaos

@@ -16,22 +16,35 @@ val compile :
   Workloads.Spec.t ->
   compiled_workload
 
-val policy_of : compiled_workload -> Jrt.Interp.barrier_policy
-(** Barrier-elision policy from the analysis verdicts. *)
+val config :
+  ?elide:bool ->
+  ?guards:bool ->
+  ?revoke:bool ->
+  ?satb_mode:Jrt.Barrier_cost.satb_mode ->
+  gc:Jrt.Runner.gc_choice ->
+  Satb_core.Driver.compiled ->
+  Jrt.Interp.config
+(** The one bridge from analysis verdicts to a run: every
+    [Jrt.Interp.config] built from a compiled program comes from here.
+    - [elide] (default on) wires the elision policy, the tracing-state
+      checks of swap pairs and, when [gc] is [Hybrid], the split
+      verdicts of {!half_policy_of}.  Off, the runtime's sentinels
+      ([keep_all_policy], [no_retrace_checks], [no_halves]) keep every
+      barrier.
+    - [guards] (default off) wires the per-site guard table together
+      with {!explain_policy_of}, so assumption failures revoke dependent
+      elisions and revocation events name the justification.  The split
+      verdicts carry their own guards whatever [guards] says.
+    - [revoke:false] keeps the guards wired but ignores their failures.
+    - The barrier flavor follows [gc]: [`Hybrid] under [Hybrid], [`Satb]
+      otherwise. *)
 
-val retrace_policy_of : compiled_workload -> Jrt.Interp.retrace_policy
-(** Tracing-state-check sites (swap-elided store pairs) from the analysis
-    verdicts; [no_retrace_checks] when the swap extension is off. *)
-
-val guard_policy_of : compiled_workload -> Jrt.Interp.guard_policy
-(** The per-site guard table from the compiler's assumption metadata. *)
-
-val half_policy_of : compiled_workload -> Jrt.Interp.half_policy
+val half_policy_of : Satb_core.Driver.compiled -> Jrt.Interp.half_policy
 (** Per-site split verdicts for the hybrid barrier, from the compiler's
     deletion- and insertion-half tables; each half carries its own guard
-    set.  {!run} wires this automatically when [gc] is [Hybrid]. *)
+    set.  {!config} wires this when [gc] is [Hybrid]. *)
 
-val explain_policy_of : compiled_workload -> Jrt.Interp.explain_policy
+val explain_policy_of : Satb_core.Driver.compiled -> Jrt.Interp.explain_policy
 (** Elision provenance: the analysis-side justification of each elided
     site, for revocation events and the profiler's hot-site report. *)
 
@@ -59,11 +72,10 @@ val run :
   ?observer:(Jrt.Interp.t -> unit) ->
   compiled_workload ->
   Jrt.Runner.report
-(** Run under the instrumented runtime; fails on any thread error unless
-    [fail_on_thread_error:false] (chaos damage may legitimately kill
-    workload threads).  [guards] (default off — the negative soundness
-    tests depend on unguarded runs) wires the compiler's guard table so
-    assumption failures revoke dependent elisions; [revoke:false] keeps
-    the guards wired but ignores their failures.  [engine] defaults to
-    {!default_engine}.  [observer] is the heap observatory's cycle-end
-    hook, forwarded to {!Jrt.Runner.run}. *)
+(** Run under the instrumented runtime with the {!config} of
+    [use_policy] (as [elide]), [guards], [revoke] and [satb_mode].
+    Fails on any thread error unless [fail_on_thread_error:false] (chaos
+    damage may legitimately kill workload threads).  [guards] is off by
+    default because the negative soundness tests depend on unguarded
+    runs.  [engine] defaults to {!default_engine}.  [observer] is the
+    heap observatory's cycle-end hook, forwarded to {!Jrt.Runner.run}. *)

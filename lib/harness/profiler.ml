@@ -17,7 +17,7 @@ let profile_run ~(label : string) ~(gc : Jrt.Runner.gc_choice)
   | Some _ | None -> ());
   let p =
     Profile.Attr.of_report ~workload:cw.Exp.workload.name ~gc:"retrace"
-      ~explain:(Exp.explain_policy_of cw) r
+      ~explain:(Exp.explain_policy_of cw.Exp.compiled) r
   in
   (match Profile.Attr.reconciles p r with
   | Ok () -> ()

@@ -327,7 +327,7 @@ let half_revocation_prop =
               w.name seed g.Jrt.Runner.total_violations
       | None -> QCheck2.Test.fail_reportf "no gc summary");
       let m = r.Jrt.Runner.machine in
-      let halves = Harness.Exp.half_policy_of cw in
+      let halves = Harness.Exp.half_policy_of cw.Harness.Exp.compiled in
       let dead guards =
         List.exists (fun a -> List.mem a m.Jrt.Interp.revoked) guards
       in

@@ -93,7 +93,7 @@ let test_reconcile_under_degraded_pacer () =
   let r = Harness.Exp.run ~gc ~guards:true ~fail_on_thread_error:false cw in
   let p =
     Attr.of_report ~workload:"jbb" ~gc:"satb"
-      ~explain:(Harness.Exp.explain_policy_of cw) r
+      ~explain:(Harness.Exp.explain_policy_of cw.Harness.Exp.compiled) r
   in
   (match Attr.reconciles p r with
   | Ok () -> ()
@@ -112,7 +112,7 @@ let compile_full w =
 
 let profile_of_report ~(cw : Harness.Exp.compiled_workload) ~gc r =
   Attr.of_report ~workload:cw.Harness.Exp.workload.name ~gc
-    ~explain:(Harness.Exp.explain_policy_of cw) r
+    ~explain:(Harness.Exp.explain_policy_of cw.Harness.Exp.compiled) r
 
 let reconcile_prop =
   QCheck2.Test.make
