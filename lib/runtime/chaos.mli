@@ -63,11 +63,6 @@ val of_seed : int -> plan
 val plan : t -> plan
 val stats : t -> stats
 
-val find_victims : Interp.t -> (int * int) list
-(** [(owner, slot)] pairs whose overwrite-with-null severs the sole
-    reference to a live, unmarked, pre-existing, non-root object.
-    Exposed for the oracle self-tests. *)
-
 val at_safepoint : t -> Interp.t -> action
 (** Run the plan's due faults.  Must be called at a safepoint, before
     {!Interp.apply_revocations} and before the collector increment. *)

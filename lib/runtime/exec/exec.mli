@@ -25,9 +25,6 @@ val slice : t -> Interp.thread -> fuel:int -> int
     {!Interp.Runtime_bug} and {!Pacer.Hard_limit} like the interpreter;
     in-program exceptions unwind to handlers internally. *)
 
-val compiled_methods : t -> int
-(** Number of methods compiled so far (observability/tests). *)
-
 val inflight : t -> int
 (** Instructions charged by the slice in flight but not yet flushed to
     [instr_count] (0 between slices).  The runner's flight-recorder step

@@ -90,8 +90,6 @@ val at_safepoint : t -> Heap.t -> int
     {e extra} collector increments the runner must run now (degraded
     mode's shortened mark budgets; 0 while normal). *)
 
-val note_hard_stop : t -> string -> unit
-
 type stats = {
   p_state : state;
   p_goal : float;

@@ -193,7 +193,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                 else if st.Interp.st_ins_elided then "ins-elided"
                 else if st.Interp.revocations > 0 then "revoked"
                 else "kept"
-            | `Satb | `Card ->
+            | `Satb ->
                 if st.Interp.st_elided then "elided"
                 else if st.Interp.revocations > 0 then "revoked"
                 else "kept"

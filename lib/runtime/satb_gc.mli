@@ -33,10 +33,6 @@ val create :
 val is_marking : t -> bool
 val start_cycle : t -> unit
 
-(** Snapshot repair after elision revocation: discard the cycle's
-    progress and restart against a fresh snapshot taken now.  No-op when
-    idle. *)
-val restart_mark : t -> unit
 val log_ref_store : t -> obj:int -> pre:Value.t -> unit
 val on_alloc : t -> Heap.obj -> unit
 val step : t -> unit
