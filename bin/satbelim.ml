@@ -949,14 +949,10 @@ let validate_trace_cmd =
 let timeline_cmd =
   let run file chrome =
     match Telemetry.json_of_string (read_file file) with
-    | Error e ->
-        Fmt.epr "satbelim: %s: %s@." file e;
-        exit 1
+    | Error e -> die (Fmt.str "%s: %s" file e)
     | Ok j -> (
         match Flight.parse_dump j with
-        | Error e ->
-            Fmt.epr "satbelim: %s: %s@." file e;
-            exit 1
+        | Error e -> die (Fmt.str "%s: %s" file e)
         | Ok d -> (
             print_string (Flight.render_timeline d);
             match chrome with
@@ -1141,9 +1137,7 @@ let heap_diff_cmd =
     let parse path =
       match Telemetry.json_of_string (read_file path) with
       | Ok j -> j
-      | Error e ->
-          Fmt.epr "satbelim: %s: %s@." path e;
-          exit 1
+      | Error e -> die (Fmt.str "%s: %s" path e)
     in
     let old_j = parse old_f and new_j = parse new_f in
     match
@@ -1151,9 +1145,7 @@ let heap_diff_cmd =
         new_j
     with
     | Ok s -> print_string s
-    | Error e ->
-        Fmt.epr "satbelim: %s@." e;
-        exit 1
+    | Error e -> die e
   in
   let old_arg =
     Arg.(
@@ -1197,9 +1189,7 @@ let workloads_cmd =
     | Some n -> (
         match Workloads.Registry.find n with
         | Some w -> print_string w.src
-        | None ->
-            Fmt.epr "satbelim: unknown workload %S (try 'workloads')@." n;
-            exit 1)
+        | None -> die (Fmt.str "unknown workload %S (try 'workloads')" n))
   in
   let name_arg =
     Arg.(

@@ -25,7 +25,8 @@ let compile ?(inline_limit = 100) ?(mode = Satb_core.Analysis.A)
 (* The verdict -> runtime bridge: every [Jrt.Interp.config] built from
    a [Driver.compiled] comes from {!config} below. *)
 
-let site_key c m pc = { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
+let site_key c m pc =
+  { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
 
 let policy_of compiled : Jrt.Interp.barrier_policy =
  fun c m pc -> not (Satb_core.Driver.needs_barrier compiled (site_key c m pc))
@@ -94,7 +95,8 @@ let config ?(elide = true) ?(guards = false) ?(revoke = true)
       (if elide && hybrid then half_policy_of compiled
        else Jrt.Interp.no_halves);
     barrier_flavor = (if hybrid then `Hybrid else `Satb);
-    guards = (if guards then guard_policy_of compiled else Jrt.Interp.no_guards);
+    guards =
+      (if guards then guard_policy_of compiled else Jrt.Interp.no_guards);
     explain =
       (if guards then explain_policy_of compiled else Jrt.Interp.no_explain);
     revoke;
