@@ -468,14 +468,20 @@ let refuse_unsound ~verb ~allow_unsound ~swap ~md gc prog =
          program spawns threads"
   end
 
-let entry_ref_of_string (entry : string) : Jir.Types.method_ref =
-  match String.index_opt entry '.' with
-  | Some i ->
-      {
-        Jir.Types.mclass = String.sub entry 0 i;
-        mname = String.sub entry (i + 1) (String.length entry - i - 1);
-      }
-  | None -> die "entry must be Class.method"
+(* --entry, checked against the loaded program before any analysis runs *)
+let entry_ref_of_string prog (entry : string) : Jir.Types.method_ref =
+  let mr =
+    match String.index_opt entry '.' with
+    | Some i ->
+        {
+          Jir.Types.mclass = String.sub entry 0 i;
+          mname = String.sub entry (i + 1) (String.length entry - i - 1);
+        }
+    | None -> die "entry must be Class.method"
+  in
+  match Jir.Program.find_method prog mr with
+  | Some _ -> mr
+  | None -> die (Fmt.str "unknown entry method %s" entry)
 
 (* FILE or --workload NAME: the report name, program and entry point *)
 let resolve_target file workload entry =
@@ -484,9 +490,10 @@ let resolve_target file workload entry =
   | None, None ->
       die "pass a FILE or --workload NAME (try 'workloads' for the list)"
   | Some f, None ->
+      let prog = or_die (load f) in
       ( Filename.remove_extension (Filename.basename f),
-        or_die (load f),
-        entry_ref_of_string entry )
+        prog,
+        entry_ref_of_string prog entry )
   | None, Some n -> (
       match Workloads.Registry.find n with
       | Some w -> (w.name, Workloads.Spec.parse w, w.entry)
@@ -528,6 +535,7 @@ let run_cmd =
       chaos_seed retrace_budget no_revoke allow_unsound gc_trigger heap_goal
       soft_limit hard_limit pacer trace metrics chrome flight_dump =
     let prog = or_die (load file) in
+    let entry_ref = entry_ref_of_string prog entry in
     let gc_choice =
       collector gc
         ~pacing:
@@ -539,7 +547,6 @@ let run_cmd =
       Satb_core.Driver.compile ~inline_limit:limit
         ~conf:(conf_of mode nos md swap summaries false) prog
     in
-    let entry_ref = entry_ref_of_string entry in
     let cfg =
       Harness.Exp.config ~elide:(not no_elim) ~guards:true
         ~revoke:(not no_revoke) ~gc:gc_choice compiled

@@ -15,9 +15,9 @@
 
 let gc = Jrt.Runner.make_satb ~trigger_allocs:32 ~steps_per_increment:8 ()
 
-let run_jess ~policy_name ~(policy : Jrt.Interp.barrier_policy) =
+let run_jess ~policy_name ~verdicts =
   let cw = Harness.Exp.compile Workloads.Jess.t in
-  let cfg = { Jrt.Interp.default_config with policy } in
+  let cfg = { Jrt.Interp.default_config with verdicts } in
   let report =
     Jrt.Runner.run ~cfg ~gc cw.compiled.program ~entry:Workloads.Jess.t.entry
   in
@@ -31,11 +31,12 @@ let run_jess ~policy_name ~(policy : Jrt.Interp.barrier_policy) =
 
 let () =
   let cw = Harness.Exp.compile Workloads.Jess.t in
-  run_jess ~policy_name:"keep-all" ~policy:Jrt.Interp.keep_all_policy;
+  run_jess ~policy_name:"keep-all" ~verdicts:(fun _ _ _ -> Jrt.Interp.keep);
   run_jess ~policy_name:"analysis-directed"
-    ~policy:(Harness.Exp.config ~gc cw.compiled).policy;
+    ~verdicts:(Harness.Exp.config ~gc cw.compiled).verdicts;
   Fmt.pr "@.Now removing EVERY barrier (unsound for SATB):@.";
-  run_jess ~policy_name:"elide-all (unsound)" ~policy:(fun _ _ _ -> true);
+  run_jess ~policy_name:"elide-all (unsound)" ~verdicts:(fun _ _ _ ->
+      { Jrt.Interp.keep with v_del_elide = true });
   Fmt.pr
     "@.The violation count above is the oracle catching live snapshot@.\
      objects that concurrent marking missed because their last pointer@.\

@@ -43,9 +43,13 @@ let pct num den =
 
 let measure_one (w : Workloads.Spec.t) : row =
   let elim variant =
-    let prog = Workloads.Spec.parse w in
-    let compiled =
-      Satb_core.Driver.compile ~inline_limit:100 ~conf:(conf_of variant) prog
+    let cw =
+      {
+        Exp.workload = w;
+        compiled =
+          Satb_core.Driver.compile ~inline_limit:100 ~conf:(conf_of variant)
+            (Workloads.Spec.parse w);
+      }
     in
     (* The swap elision is only sound under the retrace collector. *)
     let gc =
@@ -54,8 +58,7 @@ let measure_one (w : Workloads.Spec.t) : row =
       | Full | One_name | No_stride | Field_only ->
           Jrt.Runner.make_satb ~trigger_allocs:24 ()
     in
-    let cfg = Exp.config ~gc compiled in
-    let r = Jrt.Runner.run ~cfg ~gc compiled.program ~entry:w.entry in
+    let r = Exp.run ~gc cw in
     (match r.gc with
     | Some g when g.total_violations > 0 ->
         Fmt.failwith "%s/%s: marking violation" w.name

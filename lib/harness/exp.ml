@@ -28,17 +28,6 @@ let compile ?(inline_limit = 100) ?(mode = Satb_core.Analysis.A)
 let site_key c m pc =
   { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
 
-let policy_of compiled : Jrt.Interp.barrier_policy =
- fun c m pc -> not (Satb_core.Driver.needs_barrier compiled (site_key c m pc))
-
-(* tracing-state-check sites (swap pairs) *)
-let retrace_policy_of compiled : Jrt.Interp.retrace_policy =
- fun c m pc ->
-  match Satb_core.Driver.retrace_check compiled (site_key c m pc) with
-  | `Open -> Jrt.Interp.Check_open
-  | `Close -> Jrt.Interp.Check_close
-  | `None -> Jrt.Interp.No_check
-
 let assumption_to_runtime :
     Satb_core.Driver.assumption -> Jrt.Interp.assumption = function
   | Satb_core.Driver.Single_mutator -> Jrt.Interp.Single_mutator
@@ -47,36 +36,6 @@ let assumption_to_runtime :
   | Satb_core.Driver.Mode_a -> Jrt.Interp.Mode_a
   | Satb_core.Driver.Closed_world -> Jrt.Interp.Closed_world
 
-let guard_policy_of compiled : Jrt.Interp.guard_policy =
- fun c m pc ->
-  List.map assumption_to_runtime
-    (Satb_core.Driver.site_assumptions compiled (site_key c m pc))
-
-let half_policy_of (compiled : Satb_core.Driver.compiled) :
-    Jrt.Interp.half_policy =
- fun c m pc ->
-  let key = site_key c m pc in
-  match Satb_core.Driver.hybrid_verdict compiled key with
-  | `Keep -> Jrt.Interp.keep_both
-  | (`Elide_deletion | `Elide_insertion | `Elide_both) as hv ->
-      let del = hv = `Elide_deletion || hv = `Elide_both in
-      let ins = hv = `Elide_insertion || hv = `Elide_both in
-      {
-        Jrt.Interp.hs_del_elide = del;
-        hs_ins_elide = ins;
-        hs_ins_repair = ins && Satb_core.Driver.ins_repair_needed compiled key;
-        hs_del_guards =
-          (if del then
-             List.map assumption_to_runtime
-               (Satb_core.Driver.site_assumptions compiled key)
-           else []);
-        hs_ins_guards =
-          (if ins then
-             List.map assumption_to_runtime
-               (Satb_core.Driver.ins_site_assumptions compiled key)
-           else []);
-      }
-
 let explain_policy_of (compiled : Satb_core.Driver.compiled) :
     Jrt.Interp.explain_policy =
  fun c m pc -> Satb_core.Driver.justification compiled (site_key c m pc)
@@ -84,21 +43,53 @@ let explain_policy_of (compiled : Satb_core.Driver.compiled) :
 let config ?(elide = true) ?(guards = false) ?(revoke = true)
     ?(satb_mode = Jrt.Barrier_cost.Conditional) ~gc
     (compiled : Satb_core.Driver.compiled) : Jrt.Interp.config =
+  let module D = Satb_core.Driver in
   let hybrid = match gc with Jrt.Runner.Hybrid _ -> true | _ -> false in
+  let verdict key : Jrt.Interp.verdict =
+    let guards_of of_site =
+      List.map assumption_to_runtime (of_site compiled key)
+    in
+    if hybrid then
+      (* split verdicts carry their own guards whatever [guards] says *)
+      let del, ins =
+        match if elide then D.hybrid_verdict compiled key else `Keep with
+        | `Keep -> (false, false)
+        | `Elide_deletion -> (true, false)
+        | `Elide_insertion -> (false, true)
+        | `Elide_both -> (true, true)
+      in
+      {
+        Jrt.Interp.keep with
+        v_del_elide = del;
+        v_ins_elide = ins;
+        v_ins_repair = ins && D.ins_repair_needed compiled key;
+        v_del_guards = (if del then guards_of D.site_assumptions else []);
+        v_ins_guards = (if ins then guards_of D.ins_site_assumptions else []);
+      }
+    else
+      (* the guard list stays without elision, so [--no-elim] still
+         revokes (and reports) what an elided run would *)
+      let v_del_guards = if guards then guards_of D.site_assumptions else [] in
+      if not elide then { Jrt.Interp.keep with v_del_guards }
+      else
+        {
+          Jrt.Interp.keep with
+          v_del_elide = not (D.needs_barrier compiled key);
+          v_check =
+            (match D.retrace_check compiled key with
+            | `Open -> Check_open
+            | `Close -> Check_close
+            | `None -> No_check);
+          v_del_guards;
+        }
+  in
   {
     Jrt.Interp.default_config with
-    policy = (if elide then policy_of compiled else Jrt.Interp.keep_all_policy);
-    retrace =
-      (if elide then retrace_policy_of compiled
-       else Jrt.Interp.no_retrace_checks);
-    halves =
-      (if elide && hybrid then half_policy_of compiled
-       else Jrt.Interp.no_halves);
-    barrier_flavor = (if hybrid then `Hybrid else `Satb);
-    guards =
-      (if guards then guard_policy_of compiled else Jrt.Interp.no_guards);
+    verdicts = (fun c m pc -> verdict (site_key c m pc));
+    guarded = guards || (elide && hybrid);
     explain =
       (if guards then explain_policy_of compiled else Jrt.Interp.no_explain);
+    barrier_flavor = (if hybrid then `Hybrid else `Satb);
     revoke;
     satb_mode;
   }

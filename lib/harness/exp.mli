@@ -26,23 +26,25 @@ val config :
   Jrt.Interp.config
 (** The one bridge from analysis verdicts to a run: every
     [Jrt.Interp.config] built from a compiled program comes from here.
-    - [elide] (default on) wires the elision policy, the tracing-state
-      checks of swap pairs and, when [gc] is [Hybrid], the split
-      verdicts of {!half_policy_of}.  Off, the runtime's sentinels
-      ([keep_all_policy], [no_retrace_checks], [no_halves]) keep every
-      barrier.
-    - [guards] (default off) wires the per-site guard table together
-      with {!explain_policy_of}, so assumption failures revoke dependent
-      elisions and revocation events name the justification.  The split
-      verdicts carry their own guards whatever [guards] says.
-    - [revoke:false] keeps the guards wired but ignores their failures.
+    Each site's {!Jrt.Interp.verdict} is built from its
+    [Driver.site_key] alone:
     - The barrier flavor follows [gc]: [`Hybrid] under [Hybrid], [`Satb]
-      otherwise. *)
-
-val half_policy_of : Satb_core.Driver.compiled -> Jrt.Interp.half_policy
-(** Per-site split verdicts for the hybrid barrier, from the compiler's
-    deletion- and insertion-half tables; each half carries its own guard
-    set.  {!config} wires this when [gc] is [Hybrid]. *)
+      otherwise.  Under [`Satb] a verdict elides the whole barrier
+      ([Driver.needs_barrier]) and carries the swap pairs' tracing-state
+      checks; under [`Hybrid] it elides each half on its own
+      ([Driver.hybrid_verdict]).
+    - [elide] (default on).  Off, every verdict is {!Jrt.Interp.keep},
+      except that under [`Satb] with [guards] the guard list stays, so
+      an unelided run still revokes and reports what an elided one
+      would.
+    - [guards] (default off) fills the [`Satb] guard lists and wires
+      {!explain_policy_of}, so assumption failures revoke dependent
+      elisions and revocation events name the justification.  The
+      [`Hybrid] split verdicts carry each half's own guards whatever
+      [guards] says.
+    - [guarded] is [guards || (elide && gc = Hybrid)]: revocation is
+      live exactly when some verdict may carry guards.
+    - [revoke:false] keeps the guards wired but ignores their failures. *)
 
 val explain_policy_of : Satb_core.Driver.compiled -> Jrt.Interp.explain_policy
 (** Elision provenance: the analysis-side justification of each elided

@@ -5,10 +5,10 @@
     aastore) is a {e barrier site}.  The interpreter counts, per site, how
     many times it executes and how often the overwritten value was null —
     the instrumentation behind the paper's Table 1, including the
-    "potentially pre-null" upper bound (§4.2).  A {e policy} (normally the
-    analysis verdicts) decides which sites' barriers were compiled out;
-    executed barriers invoke the active collector's hook and are charged to
-    the RISC cost model.
+    "potentially pre-null" upper bound (§4.2).  A per-site {e verdict}
+    (normally the analysis's) decides which sites' barriers were compiled
+    out; executed barriers invoke the active collector's hook and are
+    charged to the RISC cost model.
 
     Threads are deterministic green threads; the {!Runner} module
     interleaves them and the collector. *)
@@ -50,7 +50,7 @@ let string_of_assumption = function
 
 type site_stats = {
   st_kind : store_kind;
-  mutable st_elided : bool;  (** the policy removed this site's barrier *)
+  mutable st_elided : bool;  (** the verdict removed this site's barrier *)
   mutable st_check : retrace_site;
       (** tracing-state check compiled in its place *)
   st_guards : assumption list;
@@ -83,50 +83,29 @@ type site_stats = {
       (** times this site (either half) was patched back *)
 }
 
-(** [policy cls meth pc = true] means the analysis proved the barrier at
-    that site unnecessary. *)
-type barrier_policy = class_name -> method_name -> int -> bool
-
-(** Which elided sites carry a tracing-state check (swap-pair elisions
-    under the retrace collector). *)
-type retrace_policy = class_name -> method_name -> int -> retrace_site
-
-(** The per-site guard table: which assumptions the site's verdict is
-    conditional on (empty for unconditionally sound verdicts). *)
-type guard_policy = class_name -> method_name -> int -> assumption list
-
-let keep_all_policy : barrier_policy = fun _ _ _ -> false
-let no_retrace_checks : retrace_policy = fun _ _ _ -> No_check
-
-(* A single shared closure so [guards_active] can recognise "no guard
-   table was wired" by physical equality. *)
-let no_guards : guard_policy = fun _ _ _ -> []
-
-(** Split verdict for one site under the hybrid barrier: each half elides
-    (and revokes) independently. *)
-type half_site = {
-  hs_del_elide : bool;
-  hs_ins_elide : bool;
-  hs_ins_repair : bool;
+(** One store site's verdict, in the two halves of a barrier: the
+    deletion half logs the overwritten value (under [`Satb] it is the
+    whole barrier), the insertion half shades the stored one ([`Hybrid]
+    only).  Each half elides and revokes against its own guards. *)
+type verdict = {
+  v_del_elide : bool;
+  v_ins_elide : bool;
+  v_ins_repair : bool;
       (** record insertion-elided destinations for the remark re-scan *)
-  hs_del_guards : assumption list;
-  hs_ins_guards : assumption list;
+  v_check : retrace_site;
+  v_del_guards : assumption list;
+  v_ins_guards : assumption list;
 }
 
-let keep_both : half_site =
+let keep =
   {
-    hs_del_elide = false;
-    hs_ins_elide = false;
-    hs_ins_repair = false;
-    hs_del_guards = [];
-    hs_ins_guards = [];
+    v_del_elide = false;
+    v_ins_elide = false;
+    v_ins_repair = false;
+    v_check = No_check;
+    v_del_guards = [];
+    v_ins_guards = [];
   }
-
-(** Per-site split verdicts, consulted only under the [`Hybrid] flavor. *)
-type half_policy = class_name -> method_name -> int -> half_site
-
-(* Shared sentinel, like [no_guards]. *)
-let no_halves : half_policy = fun _ _ _ -> keep_both
 
 (** Original justification of a site's elision (the analysis-side
     provenance), attached to revocation events so a revoked site can
@@ -136,9 +115,8 @@ type explain_policy = class_name -> method_name -> int -> string option
 let no_explain : explain_policy = fun _ _ _ -> None
 
 type config = {
-  policy : barrier_policy;
-  retrace : retrace_policy;
-  guards : guard_policy;
+  verdicts : class_name -> method_name -> int -> verdict;
+  guarded : bool;  (** a guard table was wired: failures may revoke *)
   explain : explain_policy;
   revoke : bool;
       (** honour guard failures by revoking dependent elisions; [false]
@@ -149,22 +127,17 @@ type config = {
       (** which barrier body executes at non-elided sites: SATB pre-value
           logging (also what the incremental-update collector runs), or
           the fused deletion+insertion hybrid pair *)
-  halves : half_policy;
-      (** split verdicts for the hybrid flavor; [no_halves] keeps both
-          halves everywhere *)
   max_steps : int;
 }
 
 let default_config =
   {
-    policy = keep_all_policy;
-    retrace = no_retrace_checks;
-    guards = no_guards;
+    verdicts = (fun _ _ _ -> keep);
+    guarded = false;
     explain = no_explain;
     revoke = true;
     satb_mode = Barrier_cost.Conditional;
     barrier_flavor = `Satb;
-    halves = no_halves;
     max_steps = 50_000_000;
   }
 
@@ -339,11 +312,28 @@ let note_elided_write (m : t) ~(obj : int) (cls : int) : unit =
   if m.track_heap && obj >= 0 && m.gc.is_marking () then
     m.elided_write_log <- (obj, cls) :: m.elided_write_log
 
-(** [revoke.site] event: the runtime patched one elided site back to a
-    full barrier; carries the site id, its guard set, and — when the
-    driver wired an explain policy — the original justification. *)
-let emit_revoked_site (m : t) (site : site) (st : site_stats)
+(* ---- guards and revocation -------------------------------------------- *)
+
+(** One site patched back to a full barrier: count it, record the flight
+    event (site, the guard that actually fired, which half flipped: 0
+    whole site / 1 deletion / 2 insertion) and emit [revoke.site] (site,
+    guard set and — when the driver wired an explain policy — the
+    original justification).  Interning only happens here, on the cold
+    revocation path. *)
+let revoke_site (m : t) (site : site) (st : site_stats)
+    ~(guards : assumption list) ~(failed : assumption list) ~(half : int)
     ~(materialized : bool) : unit =
+  m.revoked_sites <- m.revoked_sites + 1;
+  Telemetry.incr c_revoked_sites;
+  (if Flight.enabled () then
+     let prov =
+       match List.find_opt (fun a -> List.mem a failed) guards with
+       | Some a -> string_of_assumption a
+       | None -> "?"
+     in
+     Flight.record Flight.Revoke_site
+       ~a:(Flight.intern (site_id site))
+       ~b:(Flight.intern prov) ~c:half);
   if Telemetry.armed () then
     Telemetry.emit "revoke.site"
       ([
@@ -360,35 +350,12 @@ let emit_revoked_site (m : t) (site : site) (st : site_stats)
       | Some j -> [ ("justification", Telemetry.Str j) ]
       | None -> [])
 
-(* ---- guards and revocation -------------------------------------------- *)
-
-(** Flight-recorder twin of {!emit_revoked_site}: site, the guard that
-    actually fired (provenance), and which hybrid half flipped.  Interning
-    only happens here, on the cold revocation path. *)
-let flight_revoked_site (site : site) ~(guards : assumption list)
-    ~(failed : assumption list) ~(half : int) : unit =
-  if Flight.enabled () then
-    let prov =
-      match List.find_opt (fun a -> List.mem a failed) guards with
-      | Some a -> string_of_assumption a
-      | None -> "?"
-    in
-    Flight.record Flight.Revoke_site
-      ~a:(Flight.intern (site_id site))
-      ~b:(Flight.intern prov) ~c:half
-
-(** Was a guard table wired at all?  Default configs share the
-    [no_guards] / [no_halves] closures, so physical inequality is the
-    test (the hybrid flavor carries its guards inside the half policy). *)
-let guards_active (m : t) : bool =
-  m.cfg.guards != no_guards || m.cfg.halves != no_halves
-
 (** Note an assumption observed false.  The revocation itself happens at
     the next safepoint ({!apply_revocations}); deduplicated, and inert
     unless guards are wired and revocation is enabled. *)
 let request_revoke (m : t) (a : assumption) : unit =
   if
-    guards_active m && m.cfg.revoke
+    m.cfg.guarded && m.cfg.revoke
     && (not (List.mem a m.revoked))
     && not (List.mem a m.pending_revocations)
   then begin
@@ -430,42 +397,27 @@ let apply_revocations (m : t) : unit =
     let hit guards = List.exists (fun a -> List.mem a failed) guards in
     Hashtbl.iter
       (fun site st ->
-        match m.cfg.barrier_flavor with
-        | `Hybrid ->
-            (* each half revokes against its own guard set; a site counts
-               as one revocation even if both halves flip together *)
-            let del_flip = st.st_del_elided && hit st.st_del_guards in
-            let ins_flip = st.st_ins_elided && hit st.st_ins_guards in
-            if del_flip then st.st_del_elided <- false;
-            if ins_flip then st.st_ins_elided <- false;
-            if del_flip || ins_flip then begin
-              st.st_elided <- st.st_del_elided && st.st_ins_elided;
-              st.st_check <- No_check;
-              st.revocations <- st.revocations + 1;
-              m.revoked_sites <- m.revoked_sites + 1;
-              Telemetry.incr c_revoked_sites;
-              flight_revoked_site site
-                ~guards:
-                  ((if del_flip then st.st_del_guards else [])
-                  @ if ins_flip then st.st_ins_guards else [])
-                ~failed
-                ~half:
-                  (if del_flip && ins_flip then 0
-                   else if del_flip then 1
-                   else 2);
-              emit_revoked_site m site st ~materialized:false
-            end
-        | `Satb ->
-            if st.st_elided && hit st.st_guards then begin
-              st.st_elided <- false;
-              st.st_del_elided <- false;
-              st.st_check <- No_check;
-              st.revocations <- st.revocations + 1;
-              m.revoked_sites <- m.revoked_sites + 1;
-              Telemetry.incr c_revoked_sites;
-              flight_revoked_site site ~guards:st.st_guards ~failed ~half:0;
-              emit_revoked_site m site st ~materialized:false
-            end)
+        (* each half revokes against its own guard set; a site counts as
+           one revocation even if both halves flip together *)
+        let del_flip = st.st_del_elided && hit st.st_del_guards in
+        let ins_flip = st.st_ins_elided && hit st.st_ins_guards in
+        if del_flip || ins_flip then begin
+          if del_flip then st.st_del_elided <- false;
+          if ins_flip then st.st_ins_elided <- false;
+          st.st_elided <- st.st_del_elided && st.st_ins_elided;
+          st.st_check <- No_check;
+          st.revocations <- st.revocations + 1;
+          revoke_site m site st
+            ~guards:
+              ((if del_flip then st.st_del_guards else [])
+              @ if ins_flip then st.st_ins_guards else [])
+            ~failed
+            ~half:
+              (if m.cfg.barrier_flavor = `Satb || (del_flip && ins_flip) then 0
+               else if del_flip then 1
+               else 2)
+            ~materialized:false
+        end)
       m.stats;
     (* Repair: every object written through a guarded elided site this
        cycle may have had a pre-value go unlogged; the collector re-scans
@@ -603,83 +555,45 @@ let site_stats (m : t) (site : site) (kind : store_kind) : site_stats =
   match Hashtbl.find_opt m.stats site with
   | Some st -> st
   | None ->
-      let alive guards = not (List.exists (fun a -> List.mem a m.revoked) guards) in
+      let v = m.cfg.verdicts site.s_class site.s_method site.s_pc in
+      let hybrid = m.cfg.barrier_flavor = `Hybrid in
+      (* a half first reached after one of its assumptions was revoked
+         materializes already patched *)
+      let dead guards = List.exists (fun a -> List.mem a m.revoked) guards in
+      let del = v.v_del_elide && not (dead v.v_del_guards) in
+      let ins = hybrid && v.v_ins_elide && not (dead v.v_ins_guards) in
       let st =
-        match m.cfg.barrier_flavor with
-        | `Hybrid ->
-            (* split verdicts: each half materializes (and may materialize
-               already-patched) against its own guard set *)
-            let hs = m.cfg.halves site.s_class site.s_method site.s_pc in
-            let del_alive = alive hs.hs_del_guards in
-            let ins_alive = alive hs.hs_ins_guards in
-            let del_elided = hs.hs_del_elide && del_alive in
-            let ins_elided = hs.hs_ins_elide && ins_alive in
-            let born_revoked =
-              (hs.hs_del_elide && not del_alive)
-              || (hs.hs_ins_elide && not ins_alive)
-            in
-            {
-              st_kind = kind;
-              st_elided = del_elided && ins_elided;
-              st_check = No_check;
-              st_guards =
-                List.sort_uniq compare (hs.hs_del_guards @ hs.hs_ins_guards);
-              st_del_elided = del_elided;
-              st_ins_elided = ins_elided;
-              st_ins_repair = hs.hs_ins_repair;
-              st_del_guards = hs.hs_del_guards;
-              st_ins_guards = hs.hs_ins_guards;
-              execs = 0;
-              pre_null_execs = 0;
-              paid_execs = 0;
-              elided_execs = 0;
-              del_paid_execs = 0;
-              del_elided_execs = 0;
-              ins_paid_execs = 0;
-              ins_elided_execs = 0;
-              barrier_units = 0;
-              revocations = (if born_revoked then 1 else 0);
-            }
-        | `Satb ->
-            let guards = m.cfg.guards site.s_class site.s_method site.s_pc in
-            (* a site first reached after one of its assumptions was
-               revoked materializes already patched *)
-            let alive = alive guards in
-            let would_elide = m.cfg.policy site.s_class site.s_method site.s_pc in
-            let elided = alive && would_elide in
-            {
-              st_kind = kind;
-              st_elided = elided;
-              st_check =
-                (if elided then
-                   m.cfg.retrace site.s_class site.s_method site.s_pc
-                 else No_check);
-              st_guards = guards;
-              st_del_elided = elided;
-              st_ins_elided = false;
-              st_ins_repair = false;
-              st_del_guards = guards;
-              st_ins_guards = [];
-              execs = 0;
-              pre_null_execs = 0;
-              paid_execs = 0;
-              elided_execs = 0;
-              del_paid_execs = 0;
-              del_elided_execs = 0;
-              ins_paid_execs = 0;
-              ins_elided_execs = 0;
-              barrier_units = 0;
-              revocations = (if would_elide && not alive then 1 else 0);
-            }
+        {
+          st_kind = kind;
+          st_elided = del && (ins || not hybrid);
+          st_check = (if del && not hybrid then v.v_check else No_check);
+          st_guards =
+            (if hybrid then
+               List.sort_uniq compare (v.v_del_guards @ v.v_ins_guards)
+             else v.v_del_guards);
+          st_del_elided = del;
+          st_ins_elided = ins;
+          st_ins_repair = hybrid && v.v_ins_repair;
+          st_del_guards = v.v_del_guards;
+          st_ins_guards = (if hybrid then v.v_ins_guards else []);
+          execs = 0;
+          pre_null_execs = 0;
+          paid_execs = 0;
+          elided_execs = 0;
+          del_paid_execs = 0;
+          del_elided_execs = 0;
+          ins_paid_execs = 0;
+          ins_elided_execs = 0;
+          barrier_units = 0;
+          revocations =
+            Bool.to_int
+              (del <> v.v_del_elide || ins <> (hybrid && v.v_ins_elide));
+        }
       in
-      if st.revocations > 0 then begin
-        m.revoked_sites <- m.revoked_sites + 1;
-        Telemetry.incr c_revoked_sites;
-        flight_revoked_site site ~guards:st.st_guards ~failed:m.revoked
-          ~half:0
-      end;
       Hashtbl.replace m.stats site st;
-      if st.revocations > 0 then emit_revoked_site m site st ~materialized:true;
+      if st.revocations > 0 then
+        revoke_site m site st ~guards:st.st_guards ~failed:m.revoked ~half:0
+          ~materialized:true;
       st
 
 (** Execute the fused hybrid barrier: deletion and insertion halves run

@@ -1,7 +1,7 @@
 (** A multi-threaded bytecode interpreter with write-barrier
     instrumentation: per-site execution and pre-null counters (the
     machinery behind the paper's Table 1, including the "potentially
-    pre-null" upper bound of §4.2), an elision policy, the RISC cost
+    pre-null" upper bound of §4.2), per-site elision verdicts, the RISC cost
     model, and collector hooks. *)
 
 exception Runtime_bug of string
@@ -64,46 +64,33 @@ type site_stats = {
       (** times this site (either half) was patched back *)
 }
 
-type barrier_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> bool
-(** [policy cls meth pc = true] means the analysis removed that site's
-    barrier. *)
-
-type retrace_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> retrace_site
-(** Which elided sites carry a tracing-state check (swap-pair elisions
-    under the retrace collector). *)
-
-type guard_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> assumption list
-(** The per-site guard table (empty = unconditionally sound verdict). *)
-
-val keep_all_policy : barrier_policy
-val no_retrace_checks : retrace_policy
-
-val no_guards : guard_policy
-(** The shared "no guard table wired" closure; pass a {e different}
-    closure (even one returning [[]]) to activate guard bookkeeping. *)
-
-type half_site = {
-  hs_del_elide : bool;
-  hs_ins_elide : bool;
-  hs_ins_repair : bool;
-      (** record insertion-elided destinations for the remark re-scan *)
-  hs_del_guards : assumption list;
-  hs_ins_guards : assumption list;
+type verdict = {
+  v_del_elide : bool;
+      (** the deletion half was compiled out.  Under [`Satb] this is the
+          whole barrier; under [`Hybrid] the Yuasa half *)
+  v_ins_elide : bool;
+      (** [`Hybrid] only: the insertion (Dijkstra) half was compiled out *)
+  v_ins_repair : bool;
+      (** [`Hybrid] only: insertion-elided destinations join the remark
+          repair set (fresh-value proofs need the re-scan) *)
+  v_check : retrace_site;
+      (** [`Satb] only: the tracing-state check compiled in place of an
+          elided barrier (swap pairs under the retrace collector) *)
+  v_del_guards : assumption list;
+      (** assumptions the deletion half's elision rests on (under
+          [`Satb], the site's whole guard set); empty = unconditionally
+          sound *)
+  v_ins_guards : assumption list;
+      (** [`Hybrid] only: the insertion half's own guards *)
 }
-(** Split verdict for one site under the hybrid barrier: each half
-    elides (and revokes) independently. *)
+(** One store site's verdict.  A site materializes from its verdict at
+    its first execution ({!site_stats}): a half whose guards already
+    failed materializes revoked.  Fields marked [`Hybrid] only are
+    ignored under [`Satb], and [v_check] under [`Hybrid].  A hybrid site
+    counts as elided only when both halves are. *)
 
-val keep_both : half_site
-
-type half_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> half_site
-(** Per-site split verdicts, consulted only under the [`Hybrid] flavor. *)
-
-val no_halves : half_policy
-(** Shared "no half table wired" closure, like {!no_guards}. *)
+val keep : verdict
+(** Every barrier kept, no check, no guards. *)
 
 type explain_policy =
   Jir.Types.class_name -> Jir.Types.method_name -> int -> string option
@@ -114,18 +101,20 @@ type explain_policy =
 val no_explain : explain_policy
 
 type config = {
-  policy : barrier_policy;
-  retrace : retrace_policy;
-  guards : guard_policy;
+  verdicts :
+    Jir.Types.class_name -> Jir.Types.method_name -> int -> verdict;
+      (** consulted once per site, at materialization; {!default_config}
+          returns {!keep} everywhere *)
+  guarded : bool;
+      (** some verdict may carry guards, so an assumption observed false
+          revokes the elisions resting on it; off, {!request_revoke} is
+          inert (and guards in the verdicts are only reported) *)
   explain : explain_policy;
   revoke : bool;
       (** honour guard failures by revoking dependent elisions; [false]
           runs open-loop so the oracle can catch what guards would have *)
   satb_mode : Barrier_cost.satb_mode;
   barrier_flavor : [ `Satb | `Hybrid ];
-  halves : half_policy;
-      (** split verdicts for the hybrid flavor; {!no_halves} keeps both
-          halves everywhere *)
   max_steps : int;
 }
 
@@ -227,14 +216,10 @@ val set_pacer : t -> Pacer.t -> unit
 (** Install the pacing controller; every subsequent allocation passes
     through {!Pacer.before_alloc} (and may raise {!Pacer.Hard_limit}). *)
 
-val guards_active : t -> bool
-(** Was a guard table wired (i.e. [cfg.guards] is not {!no_guards}, or
-    [cfg.halves] is not {!no_halves})? *)
-
 val request_revoke : t -> assumption -> unit
 (** Note an assumption observed false; the revocation is applied at the
-    next safepoint.  Deduplicated; inert unless guards are wired and
-    [cfg.revoke] holds. *)
+    next safepoint.  Deduplicated; inert unless [cfg.guarded] and
+    [cfg.revoke] hold. *)
 
 val revocation_pending : t -> bool
 

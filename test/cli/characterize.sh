@@ -45,3 +45,11 @@ case_ run mtrt.jasm --move-down
 case_ profile --workload db --swap
 case_ profile --workload db --move-down --gc incr
 case_ profile --workload mtrt --move-down
+
+# --entry is resolved before any analysis runs: a malformed or unknown
+# entry exits 1 with one line, and the trace gets no analysis.pass event
+case_ run db.jasm --entry Nope --trace entry.jsonl
+echo "analysis.pass events: $(cat entry.jsonl 2>/dev/null | grep -c analysis.pass)"
+case_ run db.jasm --entry Main.nope
+case_ profile db.jasm --entry Nope
+case_ profile db.jasm --entry Main.nope

@@ -22,7 +22,10 @@ let prop_elided_sites_never_non_null =
           (Satb_core.Driver.needs_barrier compiled
              { sk_class = c; sk_method = m; sk_pc = pc })
       in
-      let cfg = { Jrt.Interp.default_config with policy } in
+      let verdicts c m pc =
+        { Jrt.Interp.keep with v_del_elide = policy c m pc }
+      in
+      let cfg = { Jrt.Interp.default_config with verdicts } in
       let r =
         Jrt.Runner.run ~cfg compiled.program
           ~entry:{ Jir.Types.mclass = "Main"; mname = "m" }
@@ -57,7 +60,10 @@ let prop_satb_sound_on_generated =
           (Satb_core.Driver.needs_barrier compiled
              { sk_class = c; sk_method = m; sk_pc = pc })
       in
-      let cfg = { Jrt.Interp.default_config with policy } in
+      let verdicts c m pc =
+        { Jrt.Interp.keep with v_del_elide = policy c m pc }
+      in
+      let cfg = { Jrt.Interp.default_config with verdicts } in
       let r =
         Jrt.Runner.run ~cfg
           ~gc:
@@ -156,7 +162,8 @@ let test_low_max_visits_still_sound () =
       (Satb_core.Driver.needs_barrier compiled
          { sk_class = c; sk_method = m; sk_pc = pc })
   in
-  let cfg = { Jrt.Interp.default_config with policy } in
+  let verdicts c m pc = { Jrt.Interp.keep with v_del_elide = policy c m pc } in
+  let cfg = { Jrt.Interp.default_config with verdicts } in
   let r =
     Jrt.Runner.run ~cfg
       ~gc:(Jrt.Runner.make_satb ~trigger_allocs:16 ~steps_per_increment:4 ())

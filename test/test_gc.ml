@@ -61,9 +61,10 @@ let run_churn ?(policy_from_analysis = true) ?(elide_all = false) gc =
       not
         (Satb_core.Driver.needs_barrier compiled
            { sk_class = c; sk_method = m; sk_pc = pc })
-    else Jrt.Interp.keep_all_policy
+    else fun _ _ _ -> false
   in
-  let cfg = { Jrt.Interp.default_config with policy } in
+  let verdicts c m pc = { Jrt.Interp.keep with v_del_elide = policy c m pc } in
+  let cfg = { Jrt.Interp.default_config with verdicts } in
   Jrt.Runner.run ~cfg ~gc compiled.program
     ~entry:{ Jir.Types.mclass = "Main"; mname = "main" }
 
@@ -107,7 +108,12 @@ let test_satb_catches_unsound_elision () =
   (* removing every barrier breaks the snapshot: jess's working-memory
      overwrites unlink fact subgraphs during marking without logging *)
   let cw = Harness.Exp.compile Workloads.Jess.t in
-  let cfg = { Jrt.Interp.default_config with policy = (fun _ _ _ -> true) } in
+  let cfg =
+    {
+      Jrt.Interp.default_config with
+      verdicts = (fun _ _ _ -> { Jrt.Interp.keep with v_del_elide = true });
+    }
+  in
   let r =
     Jrt.Runner.run ~cfg
       ~gc:(Jrt.Runner.Satb { steps_per_increment = 8; pacing = Jrt.Pacer.config_of_trigger 32 })

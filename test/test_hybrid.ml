@@ -187,14 +187,14 @@ let test_half_verdict_lattice () =
    assumptions, so a single chaos fault revokes exactly one of them.
    No_gc keeps the run free of marking (nothing to make unsound) while
    safepoint revocation still fires. *)
-let split_halves : Jrt.Interp.half_policy =
- fun _ _ _ ->
+let split_halves _ _ _ =
   {
-    Jrt.Interp.hs_del_elide = true;
-    hs_ins_elide = true;
-    hs_ins_repair = true;
-    hs_del_guards = [ Jrt.Interp.Single_mutator ];
-    hs_ins_guards = [ Jrt.Interp.Closed_world ];
+    Jrt.Interp.keep with
+    v_del_elide = true;
+    v_ins_elide = true;
+    v_ins_repair = true;
+    v_del_guards = [ Jrt.Interp.Single_mutator ];
+    v_ins_guards = [ Jrt.Interp.Closed_world ];
   }
 
 let run_split_halves faults =
@@ -204,7 +204,8 @@ let run_split_halves faults =
     {
       Jrt.Interp.default_config with
       barrier_flavor = `Hybrid;
-      halves = split_halves;
+      verdicts = split_halves;
+      guarded = true;
     }
   in
   let chaos =
@@ -315,10 +316,10 @@ let half_revocation_prop =
           w
       in
       let chaos = Jrt.Chaos.create (Jrt.Chaos.of_seed seed) in
+      let gc = Jrt.Runner.make_hybrid ~trigger_allocs:24 () in
       let r =
-        Harness.Exp.run
-          ~gc:(Jrt.Runner.make_hybrid ~trigger_allocs:24 ())
-          ~guards:true ~chaos ~fail_on_thread_error:false ~seed cw
+        Harness.Exp.run ~gc ~guards:true ~chaos ~fail_on_thread_error:false
+          ~seed cw
       in
       (match r.Jrt.Runner.gc with
       | Some g ->
@@ -327,21 +328,24 @@ let half_revocation_prop =
               w.name seed g.Jrt.Runner.total_violations
       | None -> QCheck2.Test.fail_reportf "no gc summary");
       let m = r.Jrt.Runner.machine in
-      let halves = Harness.Exp.half_policy_of cw.Harness.Exp.compiled in
+      let verdicts =
+        (Harness.Exp.config ~guards:true ~gc cw.Harness.Exp.compiled)
+          .Jrt.Interp.verdicts
+      in
       let dead guards =
         List.exists (fun a -> List.mem a m.Jrt.Interp.revoked) guards
       in
       Hashtbl.iter
         (fun (site : Jrt.Interp.site) (st : Jrt.Interp.site_stats) ->
-          let hs =
-            halves site.Jrt.Interp.s_class site.Jrt.Interp.s_method
+          let v =
+            verdicts site.Jrt.Interp.s_class site.Jrt.Interp.s_method
               site.Jrt.Interp.s_pc
           in
           let expect_del =
-            hs.Jrt.Interp.hs_del_elide && not (dead hs.Jrt.Interp.hs_del_guards)
+            v.Jrt.Interp.v_del_elide && not (dead v.Jrt.Interp.v_del_guards)
           in
           let expect_ins =
-            hs.Jrt.Interp.hs_ins_elide && not (dead hs.Jrt.Interp.hs_ins_guards)
+            v.Jrt.Interp.v_ins_elide && not (dead v.Jrt.Interp.v_ins_guards)
           in
           if st.st_del_elided <> expect_del then
             QCheck2.Test.fail_reportf

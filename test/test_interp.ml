@@ -1,7 +1,7 @@
 (* Interpreter tests: arithmetic, control flow, heap, calls, threads,
    exceptions. *)
 
-let run ?(entry = "Main.main") ?(policy = Jrt.Interp.keep_all_policy) src =
+let run ?(entry = "Main.main") src =
   let prog = Jir.Parser.parse_linked src in
   Jir.Verifier.verify_exn prog;
   let entry_ref =
@@ -9,8 +9,7 @@ let run ?(entry = "Main.main") ?(policy = Jrt.Interp.keep_all_policy) src =
     | [ c; m ] -> { Jir.Types.mclass = c; mname = m }
     | _ -> failwith "bad entry"
   in
-  let cfg = { Jrt.Interp.default_config with policy } in
-  Jrt.Runner.run ~cfg prog ~entry:entry_ref
+  Jrt.Runner.run prog ~entry:entry_ref
 
 (* the result cell: tests write an int into Main.out *)
 let out_static (r : Jrt.Runner.report) =

@@ -334,7 +334,8 @@ let test_end_to_end_satb () =
       (Satb_core.Driver.needs_barrier compiled
          { sk_class = c; sk_method = m; sk_pc = pc })
   in
-  let cfg = { Jrt.Interp.default_config with policy } in
+  let verdicts c m pc = { Jrt.Interp.keep with v_del_elide = policy c m pc } in
+  let cfg = { Jrt.Interp.default_config with verdicts } in
   let r =
     Jrt.Runner.run ~cfg
       ~gc:(Jrt.Runner.make_satb ~trigger_allocs:4 ~steps_per_increment:2 ())

@@ -90,7 +90,8 @@ let run_with ~direction ~seed ~quantum ~gc_period ~steps ~chunk : int =
       (Satb_core.Driver.needs_barrier compiled
          { sk_class = c; sk_method = m; sk_pc = pc })
   in
-  let cfg = { Jrt.Interp.default_config with policy } in
+  let verdicts c m pc = { Jrt.Interp.keep with v_del_elide = policy c m pc } in
+  let cfg = { Jrt.Interp.default_config with verdicts } in
   let m = Jrt.Interp.create ~cfg compiled.program in
   let _ =
     Jrt.Interp.spawn_thread m { Jir.Types.mclass = "Main"; mname = "main" } []

@@ -104,7 +104,8 @@ let run_with gc =
       (Satb_core.Driver.needs_barrier compiled
          { sk_class = c; sk_method = m; sk_pc = pc })
   in
-  let cfg = { Jrt.Interp.default_config with policy } in
+  let verdicts c m pc = { Jrt.Interp.keep with v_del_elide = policy c m pc } in
+  let cfg = { Jrt.Interp.default_config with verdicts } in
   Jrt.Runner.run ~cfg ~gc
     ~entry:{ Jir.Types.mclass = "Main"; mname = "main" }
     compiled.program

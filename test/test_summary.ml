@@ -337,7 +337,10 @@ let prop_summaries_sound =
               (Satb_core.Driver.needs_barrier compiled
                  { sk_class = c; sk_method = m; sk_pc = pc })
           in
-          let cfg = { Jrt.Interp.default_config with policy } in
+          let verdicts c m pc =
+            { Jrt.Interp.keep with v_del_elide = policy c m pc }
+          in
+          let cfg = { Jrt.Interp.default_config with verdicts } in
           let r =
             Jrt.Runner.run ~cfg
               ~gc:

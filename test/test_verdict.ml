@@ -36,11 +36,11 @@ let gc_of = function
   | `Retrace -> Jrt.Runner.make_retrace ~trigger_allocs:24 ()
   | `Hybrid -> Jrt.Runner.make_hybrid ~trigger_allocs:24 ()
 
-let run ?at_instr ~flavor ~guards ~elide () =
+let run ?at_instr ?engine ~flavor ~guards ~elide () =
   let r =
     Harness.Exp.run ~gc:(gc_of flavor) ~use_policy:elide ~guards
       ~chaos:(late_spawn ?at_instr ()) ~fail_on_thread_error:false ~seed:1
-      (Lazy.force cw)
+      ?engine (Lazy.force cw)
   in
   r.Jrt.Runner.machine
 
@@ -84,26 +84,16 @@ let revoke_site_events () =
       else None)
     (Flight.events ())
 
-(* site -> the revocation entries of its timeline history (the threaded
-   engine interleaves respecialization entries, which are dropped) *)
-let revoke_histories () =
+(* site -> timeline history, for sites with one.  The flight checks run
+   on the interpreter, whose histories hold revocations only (the
+   threaded engine adds respecialization entries). *)
+let site_histories () =
   match Flight.parse_dump (Flight.dump_json ~reason:"test") with
   | Error e -> Alcotest.failf "dump does not parse: %s" e
   | Ok d ->
       List.filter_map
         (fun (s : Flight.site_life) ->
-          match
-            List.filter
-              (fun h -> String.starts_with ~prefix:"revoked@" h)
-              (String.split_on_char '>' s.sl_history
-              |> List.map (fun h ->
-                     String.trim
-                       (if String.ends_with ~suffix:" -" h then
-                          String.sub h 0 (String.length h - 2)
-                        else h)))
-          with
-          | [] -> None
-          | hs -> Some (s.sl_site, String.concat " -> " hs))
+          if s.sl_history = "-" then None else Some (s.sl_site, s.sl_history))
         (Flight.timeline_of d).tl_sites
 
 let check_flight name ~events ~histories =
@@ -112,7 +102,7 @@ let check_flight name ~events ~histories =
     events (revoke_site_events ());
   Alcotest.(check (list (pair string string)))
     (name ^ ": timeline histories")
-    histories (revoke_histories ())
+    histories (site_histories ())
 
 (* [Test_hybrid.run_split_halves]: sites whose split verdict materialized
    after its guard failed take the born-revoked path, which records the
@@ -141,7 +131,7 @@ let split_histories ~live ~born =
 let test_half_codes () =
   (* plain SATB: the spawn precedes the swap sites' first execution, so
      they materialize already revoked *)
-  ignore (run ~flavor:`Satb ~guards:true ~elide:true ());
+  ignore (run ~engine:`Interp ~flavor:`Satb ~guards:true ~elide:true ());
   check_flight "satb born-revoked"
     ~events:[ ("Main.main@111", 0); ("Main.main@117", 0) ]
     ~histories:
@@ -150,7 +140,9 @@ let test_half_codes () =
         ("Main.main@117", "revoked@2291 (single-mutator)");
       ];
   (* retrace (SATB flavor): a later spawn flips live swap sites *)
-  ignore (run ~at_instr:5000 ~flavor:`Retrace ~guards:true ~elide:true ());
+  ignore
+    (run ~at_instr:5000 ~engine:`Interp ~flavor:`Retrace ~guards:true
+       ~elide:true ());
   check_flight "retrace live flip"
     ~events:[ ("Main.main@117", 0); ("Main.main@111", 0) ]
     ~histories:
